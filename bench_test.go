@@ -356,7 +356,7 @@ func BenchmarkSVRKernelAblation(b *testing.B) {
 func BenchmarkForestSizeAblation(b *testing.B) {
 	fixtures(b)
 	for _, n := range []int{10, 50, 200} {
-		b.Run("trees-"+itoa(n), func(b *testing.B) {
+		b.Run("trees="+itoa(n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				rf := &ml.RandomForest{NumTrees: n, Seed: 1}
 				if err := rf.Fit(fixXs, fixYPower); err != nil {

@@ -82,7 +82,7 @@ func parse(r io.Reader) ([]Entry, error) {
 		if err != nil {
 			return nil, fmt.Errorf("line %q: %w", sc.Text(), err)
 		}
-		e := Entry{Name: stripProcs(m[1]), Iterations: iters, NsPerOp: ns}
+		e := Entry{Name: m[1], Iterations: iters, NsPerOp: ns}
 		rest := strings.Fields(m[4])
 		for i := 0; i+1 < len(rest); i += 2 {
 			val, unit := rest[i], rest[i+1]
@@ -100,12 +100,27 @@ func parse(r io.Reader) ([]Entry, error) {
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
+	// go test appends -N to every result name when GOMAXPROCS is N > 1 and
+	// nothing when it is 1. A name may end in -<digits> of its own, so the
+	// suffix is taken for GOMAXPROCS only when every line carries one.
+	suffixed := true
+	for _, e := range entries {
+		if stripProcs(e.Name) == e.Name {
+			suffixed = false
+			break
+		}
+	}
+	if suffixed {
+		for i := range entries {
+			entries[i].Name = stripProcs(entries[i].Name)
+		}
+	}
 	sort.Slice(entries, func(i, j int) bool { return entries[i].Name < entries[j].Name })
 	return entries, nil
 }
 
-// stripProcs drops the trailing -N GOMAXPROCS suffix so names are stable
-// across runner shapes.
+// stripProcs drops a trailing -N, the GOMAXPROCS suffix go test appends, so
+// names are stable across runner shapes.
 func stripProcs(name string) string {
 	if i := strings.LastIndex(name, "-"); i > 0 {
 		if _, err := strconv.Atoi(name[i+1:]); err == nil {

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -47,6 +49,53 @@ func TestStripProcs(t *testing.T) {
 		if got := stripProcs(in); got != want {
 			t.Errorf("stripProcs(%q) = %q, want %q", in, got, want)
 		}
+	}
+}
+
+// TestParseKeepsNumericSubNames runs the same benchmarks at GOMAXPROCS 1,
+// 2 and 4: a sub-benchmark whose own name ends in -<digits> must keep it,
+// and all three runs must yield the same name set.
+func TestParseKeepsNumericSubNames(t *testing.T) {
+	want := []string{"BenchmarkAblation/trees-10", "BenchmarkAblation/trees-50", "BenchmarkLinearFit"}
+	for _, suffix := range []string{"", "-2", "-4"} {
+		out := "BenchmarkAblation/trees-10" + suffix + "   1   100 ns/op\n" +
+			"BenchmarkAblation/trees-50" + suffix + "   1   200 ns/op\n" +
+			"BenchmarkLinearFit" + suffix + "   1   300 ns/op\n"
+		entries, err := parse(strings.NewReader(out))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := names(entries); !reflect.DeepEqual(got, want) {
+			t.Errorf("suffix %q: names %v, want %v", suffix, got, want)
+		}
+	}
+}
+
+// TestCheckFailsOnMissingBenchmark proves the drift check is not vacuous:
+// a baseline benchmark absent from the input fails -check, and so does a
+// benchmark the baseline does not know.
+func TestCheckFailsOnMissingBenchmark(t *testing.T) {
+	dir := t.TempDir()
+	baseline := filepath.Join(dir, "baseline.json")
+	if err := run(strings.NewReader(sample), baseline, "", ""); err != nil {
+		t.Fatal(err)
+	}
+	if err := run(strings.NewReader(sample), "", baseline, ""); err != nil {
+		t.Fatalf("identical name set rejected: %v", err)
+	}
+	var dropped []string
+	for _, line := range strings.Split(sample, "\n") {
+		if !strings.HasPrefix(line, "BenchmarkTable1Training") {
+			dropped = append(dropped, line)
+		}
+	}
+	err := run(strings.NewReader(strings.Join(dropped, "\n")), "", baseline, "")
+	if err == nil || !strings.Contains(err.Error(), "missing: [BenchmarkTable1Training]") {
+		t.Fatalf("missing benchmark: err = %v", err)
+	}
+	added := sample + "BenchmarkNew-8   1   5 ns/op\n"
+	if err := run(strings.NewReader(added), "", baseline, ""); err == nil {
+		t.Fatal("new benchmark passed the check")
 	}
 }
 

@@ -77,6 +77,9 @@ func main() {
 		daemonURL   = flag.String("daemon", "", "dsed base URL, e.g. http://127.0.0.1:8080 (used by -follow)")
 		follow      = flag.String("follow", "", "follow a daemon job's event stream by job ID until it completes (requires -daemon)")
 		followAfter = flag.Uint64("follow-after", 0, "resume -follow delivery after this event sequence number")
+
+		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the workflow to this file (read it with go tool pprof)")
+		memProfile = flag.String("memprofile", "", "write an allocation profile to this file once the workflow ends")
 	)
 	flag.Parse()
 	if *follow != "" {
@@ -139,8 +142,17 @@ func main() {
 	})
 	defer stop()
 
+	stopProfiles, err := startProfiles(*cpuProfile, *memProfile)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "dse:", err)
+		os.Exit(artifact.ExitUsage)
+	}
 	start := time.Now()
 	res, err := dse.RunWorkflowContext(ctx, opts)
+	if perr := stopProfiles(); perr != nil {
+		fmt.Fprintln(os.Stderr, "dse:", perr)
+		os.Exit(artifact.ExitError)
+	}
 	if res != nil && res.Supervision != nil {
 		if *guardReport {
 			guard.RenderReport(os.Stderr, res.Supervision)

@@ -74,6 +74,8 @@ func (s *SVR) Fit(X [][]float64, y []float64) error {
 	gram := gramMatrix(s.Kernel, X)
 	beta := make([]float64, n)
 	f := make([]float64, n) // f_i = Σ_k β_k K_ik (bias excluded)
+	r := make([]float64, n) // r_i = y_i - f_i, kept in step with f (f starts at 0)
+	copy(r, y)
 	rng := rand.New(rand.NewSource(s.Seed + 1))
 	order := make([]int, n)
 	for i := range order {
@@ -86,11 +88,11 @@ func (s *SVR) Fit(X [][]float64, y []float64) error {
 		rng.Shuffle(n, func(a, b int) { order[a], order[b] = order[b], order[a] })
 		var maxDelta float64
 		for _, i := range order {
-			j := s.selectPartner(i, n, y, f)
+			j := selectPartner(i, r)
 			if j == i {
 				continue
 			}
-			delta := s.optimizePair(i, j, gram, y, beta, f)
+			delta := s.optimizePair(i, j, gram, y, beta, f, r)
 			if delta > maxDelta {
 				maxDelta = delta
 			}
@@ -115,29 +117,30 @@ func (s *SVR) Fit(X [][]float64, y []float64) error {
 	return nil
 }
 
-// selectPartner picks the j maximizing the residual gap |F_i - F_j|, the
-// standard maximal-violating-pair heuristic.
-func (s *SVR) selectPartner(i, n int, y, f []float64) int {
-	fi := y[i] - f[i]
+// selectPartner picks the j maximizing the residual gap |r_i - r_j|, the
+// standard maximal-violating-pair heuristic. Ties go to the lowest j.
+func selectPartner(i int, r []float64) int {
+	ri := r[i]
 	best, bestGap := i, -1.0
-	for j := 0; j < n; j++ {
-		if j == i {
-			continue
-		}
-		gap := math.Abs(fi - (y[j] - f[j]))
-		if gap > bestGap {
+	for j, rj := range r[:i] {
+		if gap := math.Abs(ri - rj); gap > bestGap {
 			bestGap, best = gap, j
+		}
+	}
+	for j, rj := range r[i+1:] {
+		if gap := math.Abs(ri - rj); gap > bestGap {
+			bestGap, best = gap, i+1+j
 		}
 	}
 	return best
 }
 
 // optimizePair exactly maximizes the dual restricted to (βᵢ, βⱼ) with
-// βᵢ+βⱼ fixed, and returns |Δβᵢ|.
-func (s *SVR) optimizePair(i, j int, gram *mat.Dense, y, beta, f []float64) float64 {
-	kii := gram.At(i, i)
-	kjj := gram.At(j, j)
-	kij := gram.At(i, j)
+// βᵢ+βⱼ fixed, updates f and r = y - f to match, and returns |Δβᵢ|.
+func (s *SVR) optimizePair(i, j int, gram *mat.Dense, y, beta, f, r []float64) float64 {
+	n := len(f)
+	gi, gj := gram.RawRow(i)[:n], gram.RawRow(j)[:n]
+	kii, kjj, kij := gi[i], gj[j], gi[j]
 	eta := kii + kjj - 2*kij
 	bi, bj := beta[i], beta[j]
 	sum := bi + bj
@@ -147,28 +150,32 @@ func (s *SVR) optimizePair(i, j int, gram *mat.Dense, y, beta, f []float64) floa
 		return 0
 	}
 	// Contribution of all other points (and self terms removed).
-	ri := f[i] - bi*kii - bj*kij
-	rj := f[j] - bi*kij - bj*kjj
+	restI := f[i] - bi*kii - bj*kij
+	restJ := f[j] - bi*kij - bj*kjj
 
 	// Restricted objective (constant terms dropped).
 	obj := func(t float64) float64 {
 		u := sum - t
 		return -0.5*(kii*t*t+kjj*u*u+2*kij*t*u) -
 			s.Epsilon*(math.Abs(t)+math.Abs(u)) +
-			y[i]*t + y[j]*u - t*ri - u*rj
+			y[i]*t + y[j]*u - t*restI - u*restJ
 	}
 
 	// Candidate points: breakpoints of the piecewise-quadratic plus the
 	// stationary point of each sign region.
-	cands := []float64{lo, hi}
+	var cands [8]float64
+	cands[0], cands[1] = lo, hi
+	nc := 2
 	if lo < 0 && 0 < hi {
-		cands = append(cands, 0)
+		cands[nc] = 0
+		nc++
 	}
 	if lo < sum && sum < hi {
-		cands = append(cands, sum)
+		cands[nc] = sum
+		nc++
 	}
 	if eta > 1e-14 {
-		base := (kjj-kij)*sum + (y[i] - y[j]) - (ri - rj)
+		base := (kjj-kij)*sum + (y[i] - y[j]) - (restI - restJ)
 		for _, sg := range [...][2]float64{{1, 1}, {1, -1}, {-1, 1}, {-1, -1}} {
 			t := (base - s.Epsilon*(sg[0]-sg[1])) / eta
 			// Clip into the global box; region validity is handled by the
@@ -179,11 +186,12 @@ func (s *SVR) optimizePair(i, j int, gram *mat.Dense, y, beta, f []float64) floa
 			if t > hi {
 				t = hi
 			}
-			cands = append(cands, t)
+			cands[nc] = t
+			nc++
 		}
 	}
 	bestT, bestV := bi, obj(bi)
-	for _, t := range cands {
+	for _, t := range cands[:nc] {
 		if v := obj(t); v > bestV+1e-15 {
 			bestV, bestT = v, t
 		}
@@ -195,9 +203,10 @@ func (s *SVR) optimizePair(i, j int, gram *mat.Dense, y, beta, f []float64) floa
 	dJ := (sum - bestT) - bj
 	beta[i] = bestT
 	beta[j] = sum - bestT
-	n := len(beta)
-	for k := 0; k < n; k++ {
-		f[k] += dI*gram.At(i, k) + dJ*gram.At(j, k)
+	y, r = y[:n], r[:n]
+	for k := range f {
+		f[k] += dI*gi[k] + dJ*gj[k]
+		r[k] = y[k] - f[k]
 	}
 	return math.Abs(dI)
 }

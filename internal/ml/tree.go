@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 )
 
 // RegressionTree is a CART regression tree grown by greedy variance
@@ -25,7 +25,6 @@ type RegressionTree struct {
 
 	root   *treeNode
 	nDims  int
-	rng    *rand.Rand
 	fitted bool
 }
 
@@ -53,70 +52,113 @@ func (t *RegressionTree) Fit(X [][]float64, y []float64) error {
 		t.MinSamplesLeaf = 1
 	}
 	t.nDims = d
-	t.rng = rand.New(rand.NewSource(t.Seed + 17))
-	idx := make([]int, len(X))
+	n := len(X)
+	b := &treeBuilder{
+		t:     t,
+		X:     X,
+		y:     y,
+		pairs: make([]splitPair, n),
+		feats: make([]int, d),
+		right: make([]int, n),
+	}
+	idx := make([]int, n)
 	for i := range idx {
 		idx[i] = i
 	}
-	t.root = t.grow(X, y, idx, 0)
+	t.root = b.grow(idx, 0)
 	t.fitted = true
 	return nil
 }
 
-func (t *RegressionTree) grow(X [][]float64, y []float64, idx []int, depth int) *treeNode {
+// treeBuilder is one Fit's working state. Its buffers are sized once and
+// reused at every node, so growing a tree allocates only its nodes.
+type treeBuilder struct {
+	t     *RegressionTree
+	X     [][]float64
+	y     []float64
+	rng   *rand.Rand  // feature-subset sampling, seeded on first use
+	pairs []splitPair // one feature's (x, y) values at a node, sorted by x
+	feats []int       // feature-subset buffer
+	right []int       // right-child rows while idx is partitioned
+}
+
+type splitPair struct{ x, y float64 }
+
+// cmpSplitPair orders pairs by x. slices.SortFunc only tests cmp(a, b) < 0,
+// which holds exactly when a.x < b.x, so it makes the same moves as
+// sort.Slice with that less function: pairs with equal x end in the same
+// order, and the split search's running sums depend on that order.
+func cmpSplitPair(a, b splitPair) int {
+	if a.x < b.x {
+		return -1
+	}
+	if a.x > b.x {
+		return 1
+	}
+	return 0
+}
+
+// grow builds the subtree over the rows in idx. On a split it partitions
+// idx in place, stably: the left rows keep their order at the front and the
+// right rows keep theirs behind them, so each child sums its rows in the
+// parent's order.
+func (b *treeBuilder) grow(idx []int, depth int) *treeNode {
+	t := b.t
 	n := len(idx)
 	var sum float64
 	for _, i := range idx {
-		sum += y[i]
+		sum += b.y[i]
 	}
 	node := &treeNode{feature: -1, value: sum / float64(n), samples: n}
 	if n < t.MinSamplesSplit || (t.MaxDepth > 0 && depth >= t.MaxDepth) {
 		return node
 	}
-	feat, thr, ok := t.bestSplit(X, y, idx)
+	feat, thr, ok := b.bestSplit(idx)
 	if !ok {
 		return node
 	}
-	var left, right []int
+	nl, nr := 0, 0
 	for _, i := range idx {
-		if X[i][feat] <= thr {
-			left = append(left, i)
+		if b.X[i][feat] <= thr {
+			idx[nl] = i
+			nl++
 		} else {
-			right = append(right, i)
+			b.right[nr] = i
+			nr++
 		}
 	}
-	if len(left) < t.MinSamplesLeaf || len(right) < t.MinSamplesLeaf {
+	copy(idx[nl:], b.right[:nr])
+	if nl < t.MinSamplesLeaf || nr < t.MinSamplesLeaf {
 		return node
 	}
 	node.feature = feat
 	node.threshold = thr
-	node.left = t.grow(X, y, left, depth+1)
-	node.right = t.grow(X, y, right, depth+1)
+	node.left = b.grow(idx[:nl], depth+1)
+	node.right = b.grow(idx[nl:], depth+1)
 	return node
 }
 
 // bestSplit scans (a subset of) features for the threshold minimizing the
 // weighted child sum of squared errors, using the running-sums identity
 // SSE = Σy² - (Σy)²/n per side.
-func (t *RegressionTree) bestSplit(X [][]float64, y []float64, idx []int) (feature int, threshold float64, ok bool) {
+func (b *treeBuilder) bestSplit(idx []int) (feature int, threshold float64, ok bool) {
+	t := b.t
 	n := len(idx)
-	feats := t.featureSubset()
-	type pair struct{ x, y float64 }
-	pairs := make([]pair, n)
+	pairs := b.pairs[:n]
 	bestGain := math.Inf(-1)
 
 	var totSum, totSq float64
 	for _, i := range idx {
-		totSum += y[i]
-		totSq += y[i] * y[i]
+		totSum += b.y[i]
+		totSq += b.y[i] * b.y[i]
 	}
 	parentSSE := totSq - totSum*totSum/float64(n)
 
-	for _, f := range feats {
+	for _, f := range b.featureSubset() {
 		for k, i := range idx {
-			pairs[k] = pair{X[i][f], y[i]}
+			pairs[k] = splitPair{b.X[i][f], b.y[i]}
 		}
-		sort.Slice(pairs, func(a, b int) bool { return pairs[a].x < pairs[b].x })
+		slices.SortFunc(pairs, cmpSplitPair)
 		var lSum, lSq float64
 		for k := 0; k < n-1; k++ {
 			lSum += pairs[k].y
@@ -146,16 +188,21 @@ func (t *RegressionTree) bestSplit(X [][]float64, y []float64, idx []int) (featu
 	return feature, threshold, ok
 }
 
-func (t *RegressionTree) featureSubset() []int {
-	all := make([]int, t.nDims)
+// featureSubset returns the features one split examines: all of them, or
+// MaxFeatures drawn by shuffling the identity permutation.
+func (b *treeBuilder) featureSubset() []int {
+	all := b.feats
 	for i := range all {
 		all[i] = i
 	}
-	if t.MaxFeatures <= 0 || t.MaxFeatures >= t.nDims {
-		return all
+	if m := b.t.MaxFeatures; m > 0 && m < len(all) {
+		if b.rng == nil {
+			b.rng = rand.New(rand.NewSource(b.t.Seed + 17))
+		}
+		b.rng.Shuffle(len(all), func(x, y int) { all[x], all[y] = all[y], all[x] })
+		return all[:m]
 	}
-	t.rng.Shuffle(len(all), func(a, b int) { all[a], all[b] = all[b], all[a] })
-	return all[:t.MaxFeatures]
+	return all
 }
 
 // Predict descends the tree to a leaf mean.
