@@ -14,6 +14,7 @@ package graphdse
 
 import (
 	"bytes"
+	"context"
 	"io"
 	"sync"
 	"testing"
@@ -30,6 +31,7 @@ import (
 var (
 	fixOnce   sync.Once
 	fixTrace  []trace.Event
+	fixPT     *memsim.PreparedTrace
 	fixFoot   int
 	fixGraph  *graph.CSR
 	fixDS     *dse.Dataset
@@ -40,11 +42,15 @@ var (
 func fixtures(b *testing.B) {
 	b.Helper()
 	fixOnce.Do(func() {
-		machine, _, err := sysim.PaperWorkloadTrace(sysim.DefaultConfig(), 1024, 16, 42, 1)
+		machine, _, err := sysim.PaperWorkloadTraceContext(context.Background(), sysim.DefaultConfig(), 1024, 16, 42, 1, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
 		fixTrace = machine.Trace()
+		fixPT, err = memsim.Prepare(fixTrace)
+		if err != nil {
+			b.Fatal(err)
+		}
 		fixFoot = int(machine.Layout().Footprint()) / 64
 		fixGraph, err = graph.GenerateGTGraph(1024, 16, 42)
 		if err != nil {
@@ -56,7 +62,7 @@ func fixtures(b *testing.B) {
 			CtrlFreqsMHz: []float64{400, 1600},
 			Channels:     []int{2, 4},
 		})
-		records, err := dse.Sweep(fixTrace, points, dse.SweepOptions{FootprintLines: fixFoot})
+		records, err := dse.SweepPreparedContext(context.Background(), fixPT, points, dse.SweepOptions{FootprintLines: fixFoot})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -76,15 +82,19 @@ func fixtures(b *testing.B) {
 	})
 }
 
-// BenchmarkFigure2Sweep regenerates Figure 2: the full 416-configuration
-// design-space sweep over the paper workload trace plus the per-cell
-// aggregation.
+// BenchmarkFigure2Sweep regenerates Figure 2: preparing the paper workload
+// trace, the full 416-configuration design-space sweep over it, and the
+// per-cell aggregation.
 func BenchmarkFigure2Sweep(b *testing.B) {
 	fixtures(b)
 	points := dse.EnumerateSpace(dse.SpaceParams{})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		records, err := dse.Sweep(fixTrace, points, dse.SweepOptions{
+		pt, err := memsim.Prepare(fixTrace)
+		if err != nil {
+			b.Fatal(err)
+		}
+		records, err := dse.SweepPreparedContext(context.Background(), pt, points, dse.SweepOptions{
 			FootprintLines: fixFoot,
 			FailureRate:    dse.PaperFailureRate,
 			FailureSeed:    1,
@@ -106,7 +116,7 @@ func BenchmarkTable1Training(b *testing.B) {
 	models := dse.DefaultModels(1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		table, _, err := dse.TrainAndEvaluate(fixDS, models, 0.2, 7)
+		table, _, err := dse.TrainAndEvaluateContext(context.Background(), fixDS, models, 0.2, 7, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -121,7 +131,7 @@ func BenchmarkTable1Training(b *testing.B) {
 func BenchmarkFigure3Prediction(b *testing.B) {
 	fixtures(b)
 	models := dse.DefaultModels(1)
-	_, fig3, err := dse.TrainAndEvaluate(fixDS, models, 0.2, 7)
+	_, fig3, err := dse.TrainAndEvaluateContext(context.Background(), fixDS, models, 0.2, 7, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -138,13 +148,13 @@ func BenchmarkFigure3Prediction(b *testing.B) {
 func BenchmarkRecommendation(b *testing.B) {
 	fixtures(b)
 	points := dse.EnumerateSpace(dse.SpaceParams{})
-	records, err := dse.Sweep(fixTrace, points, dse.SweepOptions{FootprintLines: fixFoot})
+	records, err := dse.SweepPreparedContext(context.Background(), fixPT, points, dse.SweepOptions{FootprintLines: fixFoot})
 	if err != nil {
 		b.Fatal(err)
 	}
 	rows := dse.BuildFigure2(records)
 	models := dse.DefaultModels(1)
-	table, _, err := dse.TrainAndEvaluate(fixDS, models, 0.2, 7)
+	table, _, err := dse.TrainAndEvaluateContext(context.Background(), fixDS, models, 0.2, 7, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -224,12 +234,23 @@ func BenchmarkMemsimReplay(b *testing.B) {
 	}{"HybridFlat", flat})
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := memsim.RunTrace(c.cfg, fixTrace); err != nil {
-					b.Fatal(err)
-				}
-			}
+			benchReplay(b, c.cfg)
 		})
+	}
+}
+
+// benchReplay times one-pass replays of the fixture trace against cfg: each
+// iteration validates, routes and replays every event, as a standalone
+// simulation does.
+func benchReplay(b *testing.B, cfg memsim.Config) {
+	sim, err := memsim.New(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < b.N; i++ {
+		if _, err := sim.RunSource(trace.NewSliceSource(fixTrace)); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -265,11 +286,7 @@ func BenchmarkSchedulerAblation(b *testing.B) {
 		cfg := memsim.NewDRAMConfig(2, 2000, 400)
 		cfg.Scheduler = sched
 		b.Run(sched.String(), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := memsim.RunTrace(cfg, fixTrace); err != nil {
-					b.Fatal(err)
-				}
-			}
+			benchReplay(b, cfg)
 		})
 	}
 }
@@ -282,11 +299,7 @@ func BenchmarkPagePolicyAblation(b *testing.B) {
 		cfg := memsim.NewDRAMConfig(2, 2000, 400)
 		cfg.Policy = pol
 		b.Run(pol.String(), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := memsim.RunTrace(cfg, fixTrace); err != nil {
-					b.Fatal(err)
-				}
-			}
+			benchReplay(b, cfg)
 		})
 	}
 }
@@ -299,11 +312,7 @@ func BenchmarkHybridCacheAblation(b *testing.B) {
 		cfg := memsim.NewHybridConfig(2, 2000, 400, 40, f)
 		cfg.CacheLines = int(f * float64(fixFoot))
 		b.Run(cfg.Type.String()+"-f"+trimFloat(f), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := memsim.RunTrace(cfg, fixTrace); err != nil {
-					b.Fatal(err)
-				}
-			}
+			benchReplay(b, cfg)
 		})
 	}
 }
@@ -370,7 +379,7 @@ func BenchmarkForestSizeAblation(b *testing.B) {
 // BenchmarkSysimTraceGeneration measures the gem5-stand-in stage.
 func BenchmarkSysimTraceGeneration(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, _, err := sysim.PaperWorkloadTrace(sysim.DefaultConfig(), 1024, 16, 42, 1); err != nil {
+		if _, _, err := sysim.PaperWorkloadTraceContext(context.Background(), sysim.DefaultConfig(), 1024, 16, 42, 1, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -420,11 +429,7 @@ func BenchmarkMappingAblation(b *testing.B) {
 		cfg := memsim.NewDRAMConfig(4, 2000, 666)
 		cfg.Mapping = scheme
 		b.Run(scheme.String(), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := memsim.RunTrace(cfg, fixTrace); err != nil {
-					b.Fatal(err)
-				}
-			}
+			benchReplay(b, cfg)
 		})
 	}
 }
@@ -435,8 +440,12 @@ func BenchmarkAdaptiveDSE(b *testing.B) {
 	fixtures(b)
 	points := dse.EnumerateSpace(dse.SpaceParams{})
 	for i := 0; i < b.N; i++ {
+		pt, err := memsim.Prepare(fixTrace)
+		if err != nil {
+			b.Fatal(err)
+		}
 		a := &dse.AdaptiveDSE{Metric: "Power", InitialSamples: 16, BatchSize: 8, MaxSimulations: 64, Seed: 1}
-		res, err := a.Run(fixTrace, points, dse.SweepOptions{FootprintLines: fixFoot})
+		res, err := a.Run(context.Background(), pt, points, dse.SweepOptions{FootprintLines: fixFoot})
 		if err != nil {
 			b.Fatal(err)
 		}

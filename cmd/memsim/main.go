@@ -106,6 +106,10 @@ func main() {
 		cfg.Policy = memsim.ClosedPage
 	}
 
+	sim, err := memsim.New(cfg)
+	if err != nil {
+		fatal(err)
+	}
 	var res *memsim.Result
 	if *deadline > 0 {
 		// Supervised replay: the deadline cancels the stage and the tool
@@ -116,11 +120,11 @@ func main() {
 			guard.StageOptions{Timeout: *deadline, Grace: 200 * time.Millisecond},
 			func(ctx context.Context, hb *guard.Heartbeat) error {
 				var rerr error
-				res, rerr = memsim.RunTraceSource(cfg, beatingSource{src, hb})
+				res, rerr = sim.RunSource(beatingSource{src, hb})
 				return rerr
 			})
 	} else {
-		res, err = memsim.RunTraceSource(cfg, src)
+		res, err = sim.RunSource(src)
 	}
 	if err != nil {
 		fatal(err)

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -17,11 +18,14 @@ import (
 )
 
 func main() {
-	machine, _, err := sysim.PaperWorkloadTrace(sysim.DefaultConfig(), 512, 8, 42, 1)
+	machine, _, err := sysim.PaperWorkloadTraceContext(context.Background(), sysim.DefaultConfig(), 512, 8, 42, 1, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
-	events := machine.Trace()
+	pt, err := memsim.Prepare(machine.Trace())
+	if err != nil {
+		log.Fatal(err)
+	}
 	footprint := int(machine.Layout().Footprint()) / 64
 
 	// The pool: every design point's feature vector. The oracle simulates a
@@ -43,7 +47,11 @@ func main() {
 		if v, ok := cache[i]; ok {
 			return v
 		}
-		res, err := memsim.RunTrace(points[i].Config(footprint), events)
+		sim, err := memsim.New(points[i].Config(footprint))
+		if err != nil {
+			log.Fatal(err)
+		}
+		res, err := sim.RunPrepared(pt)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -15,8 +16,9 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	mk := func(seed int64) []trace.Event {
-		m, _, err := sysim.PaperWorkloadTrace(sysim.DefaultConfig(), 1024, 16, seed, 1)
+		m, _, err := sysim.PaperWorkloadTraceContext(ctx, sysim.DefaultConfig(), 1024, 16, seed, 1, nil)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -26,6 +28,14 @@ func main() {
 	tenant := mk(99)
 	corun := trace.Merge(1<<26, alone, tenant)
 	fmt.Printf("alone: %d events; co-run: %d events\n\n", len(alone), len(corun))
+	alonePT, err := memsim.Prepare(alone)
+	if err != nil {
+		log.Fatal(err)
+	}
+	corunPT, err := memsim.Prepare(corun)
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	flat := memsim.NewHybridConfig(2, 2000, 666, 67, 0.25)
 	flat.HybridMode = memsim.HybridFlat
@@ -39,11 +49,15 @@ func main() {
 	}
 	fmt.Printf("%-9s %16s %16s %10s\n", "type", "alone totLat", "corun totLat", "slowdown")
 	for _, c := range configs {
-		a, err := memsim.RunTrace(c.cfg, alone)
+		sim, err := memsim.New(c.cfg)
 		if err != nil {
 			log.Fatal(err)
 		}
-		b, err := memsim.RunTrace(c.cfg, corun)
+		a, err := sim.RunPrepared(alonePT)
+		if err != nil {
+			log.Fatal(err)
+		}
+		b, err := sim.RunPrepared(corunPT)
 		if err != nil {
 			log.Fatal(err)
 		}

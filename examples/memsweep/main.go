@@ -4,26 +4,32 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
 	"time"
 
 	"graphdse/internal/dse"
+	"graphdse/internal/memsim"
 	"graphdse/internal/sysim"
 )
 
 func main() {
-	machine, _, err := sysim.PaperWorkloadTrace(sysim.DefaultConfig(), 1024, 16, 42, 2)
+	ctx := context.Background()
+	machine, _, err := sysim.PaperWorkloadTraceContext(ctx, sysim.DefaultConfig(), 1024, 16, 42, 2, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
-	events := machine.Trace()
+	pt, err := memsim.Prepare(machine.Trace())
+	if err != nil {
+		log.Fatal(err)
+	}
 	points := dse.EnumerateSpace(dse.SpaceParams{})
-	fmt.Fprintf(os.Stderr, "sweeping %d configurations over %d trace events...\n", len(points), len(events))
+	fmt.Fprintf(os.Stderr, "sweeping %d configurations over %d trace events...\n", len(points), pt.Len())
 
 	start := time.Now()
-	records, err := dse.Sweep(events, points, dse.SweepOptions{
+	records, err := dse.SweepPreparedContext(ctx, pt, points, dse.SweepOptions{
 		FootprintLines: int(machine.Layout().Footprint()) / 64,
 		// The paper's ~10% NVMain crash rate, expressed as a fault-injection
 		// rule; the engine contains each crash in its record.

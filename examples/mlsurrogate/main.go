@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -15,10 +16,12 @@ import (
 	"graphdse/internal/memsim"
 	"graphdse/internal/ml"
 	"graphdse/internal/sysim"
+	"graphdse/internal/trace"
 )
 
 func main() {
-	res, err := dse.RunWorkflow(dse.WorkflowOptions{
+	ctx := context.Background()
+	res, err := dse.RunWorkflowContext(ctx, dse.WorkflowOptions{
 		Seed:      42,
 		Repeats:   2,
 		Sweep:     dse.SweepOptions{FailureRate: dse.PaperFailureRate, FailureSeed: 1},
@@ -59,12 +62,16 @@ func main() {
 	perPredict := time.Since(start) / queries
 
 	// One simulator run for comparison, on the first surviving point.
-	machine, _, err := sysim.PaperWorkloadTrace(sysim.DefaultConfig(), 1024, 16, 42, 2)
+	machine, _, err := sysim.PaperWorkloadTraceContext(ctx, sysim.DefaultConfig(), 1024, 16, 42, 2, nil)
+	if err != nil {
+		log.Fatal(err)
+	}
+	sim, err := memsim.New(ds.Points[0].Config(0))
 	if err != nil {
 		log.Fatal(err)
 	}
 	simStart := time.Now()
-	if _, err := memsim.RunTrace(ds.Points[0].Config(0), machine.Trace()); err != nil {
+	if _, err := sim.RunSource(trace.NewSliceSource(machine.Trace())); err != nil {
 		log.Fatal(err)
 	}
 	perSim := time.Since(simStart)

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -14,13 +15,16 @@ import (
 
 func main() {
 	// 1. Workload + system simulation (the gem5 stage of Figure 1).
-	machine, bfs, err := sysim.PaperWorkloadTrace(sysim.DefaultConfig(), 1024, 16, 42, 1)
+	machine, bfs, err := sysim.PaperWorkloadTraceContext(context.Background(), sysim.DefaultConfig(), 1024, 16, 42, 1, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
-	events := machine.Trace()
+	pt, err := memsim.Prepare(machine.Trace())
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("BFS visited %d/1024 vertices in %d levels; trace has %d memory events\n\n",
-		bfs.Visited, bfs.Iterations, len(events))
+		bfs.Visited, bfs.Iterations, pt.Len())
 
 	// 2. Memory simulation (the NVMain stage) for three memory designs at
 	//    2 GHz CPU, 400 MHz controller, 2 channels.
@@ -38,7 +42,11 @@ func main() {
 	fmt.Printf("%-9s %10s %12s %12s %12s %12s %12s\n",
 		"type", "power(W)", "BW(MB/s)", "avgLat(cy)", "totLat(cy)", "reads/ch", "writes/ch")
 	for _, c := range configs {
-		res, err := memsim.RunTrace(c.cfg, events)
+		sim, err := memsim.New(c.cfg)
+		if err != nil {
+			log.Fatal(err)
+		}
+		res, err := sim.RunPrepared(pt)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -6,11 +6,13 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
 
 	"graphdse/internal/dse"
+	"graphdse/internal/memsim"
 	"graphdse/internal/ml"
 	"graphdse/internal/sysim"
 )
@@ -30,7 +32,11 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		records, err := dse.Sweep(events, points, dse.SweepOptions{FootprintLines: footprint})
+		pt, err := memsim.Prepare(events)
+		if err != nil {
+			log.Fatal(err)
+		}
+		records, err := dse.SweepPreparedContext(context.Background(), pt, points, dse.SweepOptions{FootprintLines: footprint})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -30,7 +31,7 @@ func main() {
 		Channels:     []int{2, 4},
 	}
 	start := time.Now()
-	comps, err := dse.CompareWorkloads(sysim.DefaultConfig(), specs, space, dse.SweepOptions{})
+	comps, err := dse.CompareWorkloads(context.Background(), sysim.DefaultConfig(), specs, space, dse.SweepOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package graphdse
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"testing"
 
@@ -13,11 +14,35 @@ import (
 	"graphdse/internal/trace"
 )
 
+// mustPrepare validates and decodes a workload trace once for replay.
+func mustPrepare(t *testing.T, events []trace.Event) *memsim.PreparedTrace {
+	t.Helper()
+	pt, err := memsim.Prepare(events)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pt
+}
+
+// replay simulates one configuration over a prepared trace.
+func replay(t *testing.T, cfg memsim.Config, pt *memsim.PreparedTrace) *memsim.Result {
+	t.Helper()
+	sim, err := memsim.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := sim.RunPrepared(pt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 // TestPipelineTraceFormatsAgree runs the full front half of the workflow —
 // workload → sysim trace → gem5 text → parallel conversion → NVMain text —
 // and verifies the memory simulator sees identical events either way.
 func TestPipelineTraceFormatsAgree(t *testing.T) {
-	machine, _, err := sysim.PaperWorkloadTrace(sysim.DefaultConfig(), 256, 8, 3, 1)
+	machine, _, err := sysim.PaperWorkloadTraceContext(context.Background(), sysim.DefaultConfig(), 256, 8, 3, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,14 +65,8 @@ func TestPipelineTraceFormatsAgree(t *testing.T) {
 	}
 
 	cfg := memsim.NewNVMConfig(2, 2000, 666, 67)
-	a, err := memsim.RunTrace(cfg, direct)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := memsim.RunTrace(cfg, converted)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := replay(t, cfg, mustPrepare(t, direct))
+	b := replay(t, cfg, mustPrepare(t, converted))
 	if a.AvgPowerPerChannel != b.AvgPowerPerChannel || a.AvgTotalLatency != b.AvgTotalLatency {
 		t.Fatal("direct and converted traces simulate differently")
 	}
@@ -60,26 +79,17 @@ func TestPipelinePaperShapesOnFullWorkload(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full workload in -short mode")
 	}
-	machine, _, err := sysim.PaperWorkloadTrace(sysim.DefaultConfig(), 1024, 16, 42, 1)
+	machine, _, err := sysim.PaperWorkloadTraceContext(context.Background(), sysim.DefaultConfig(), 1024, 16, 42, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	events := machine.Trace()
+	pt := mustPrepare(t, machine.Trace())
 
-	d, err := memsim.RunTrace(memsim.NewDRAMConfig(2, 2000, 400), events)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n, err := memsim.RunTrace(memsim.NewNVMConfig(2, 2000, 400, 40), events)
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := replay(t, memsim.NewDRAMConfig(2, 2000, 400), pt)
+	n := replay(t, memsim.NewNVMConfig(2, 2000, 400, 40), pt)
 	h := memsim.NewHybridConfig(2, 2000, 400, 40, 0.125)
 	h.CacheLines = int(machine.Layout().Footprint()) / 64 / 8
-	hy, err := memsim.RunTrace(h, events)
-	if err != nil {
-		t.Fatal(err)
-	}
+	hy := replay(t, h, pt)
 
 	if !(d.AvgPowerPerChannel > n.AvgPowerPerChannel) {
 		t.Fatalf("power: DRAM %v should exceed NVM %v", d.AvgPowerPerChannel, n.AvgPowerPerChannel)
@@ -94,10 +104,7 @@ func TestPipelinePaperShapesOnFullWorkload(t *testing.T) {
 		t.Fatalf("total latency: DRAM %v should beat NVM %v", d.AvgTotalLatency, n.AvgTotalLatency)
 	}
 
-	nHigh, err := memsim.RunTrace(memsim.NewNVMConfig(2, 2000, 1600, 160), events)
-	if err != nil {
-		t.Fatal(err)
-	}
+	nHigh := replay(t, memsim.NewNVMConfig(2, 2000, 1600, 160), pt)
 	if !(nHigh.AvgPowerPerChannel > n.AvgPowerPerChannel) {
 		t.Fatal("NVM power must grow with controller frequency")
 	}
@@ -112,7 +119,7 @@ func TestPipelineSurrogateAccuracy(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweep in -short mode")
 	}
-	machine, _, err := sysim.PaperWorkloadTrace(sysim.DefaultConfig(), 512, 8, 7, 1)
+	machine, _, err := sysim.PaperWorkloadTraceContext(context.Background(), sysim.DefaultConfig(), 512, 8, 7, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +128,7 @@ func TestPipelineSurrogateAccuracy(t *testing.T) {
 		CtrlFreqsMHz: []float64{400, 1600},
 		Channels:     []int{2, 4},
 	})
-	records, err := dse.Sweep(machine.Trace(), points, dse.SweepOptions{
+	records, err := dse.SweepPreparedContext(context.Background(), mustPrepare(t, machine.Trace()), points, dse.SweepOptions{
 		FootprintLines: int(machine.Layout().Footprint()) / 64,
 	})
 	if err != nil {
@@ -131,7 +138,7 @@ func TestPipelineSurrogateAccuracy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	table, _, err := dse.TrainAndEvaluate(ds, dse.DefaultModels(1), 0.2, 7)
+	table, _, err := dse.TrainAndEvaluateContext(context.Background(), ds, dse.DefaultModels(1), 0.2, 7, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,11 +191,11 @@ func TestPipelineSurrogateExtrapolation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweep in -short mode")
 	}
-	machine, _, err := sysim.PaperWorkloadTrace(sysim.DefaultConfig(), 512, 8, 9, 1)
+	machine, _, err := sysim.PaperWorkloadTraceContext(context.Background(), sysim.DefaultConfig(), 512, 8, 9, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	events := machine.Trace()
+	pt := mustPrepare(t, machine.Trace())
 	foot := int(machine.Layout().Footprint()) / 64
 	points := dse.EnumerateSpace(dse.SpaceParams{})
 	// Hold out one NVM configuration entirely.
@@ -205,7 +212,7 @@ func TestPipelineSurrogateExtrapolation(t *testing.T) {
 	holdout := points[holdoutIdx]
 	points = append(points[:holdoutIdx], points[holdoutIdx+1:]...)
 
-	records, err := dse.Sweep(events, points, dse.SweepOptions{FootprintLines: foot})
+	records, err := dse.SweepPreparedContext(context.Background(), pt, points, dse.SweepOptions{FootprintLines: foot})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,10 +235,7 @@ func TestPipelineSurrogateExtrapolation(t *testing.T) {
 	}
 
 	pred := svr.Predict(xs.TransformRow(holdout.FeatureVector()))
-	truth, err := memsim.RunTrace(holdout.Config(foot), events)
-	if err != nil {
-		t.Fatal(err)
-	}
+	truth := replay(t, holdout.Config(foot), pt)
 	relErr := math.Abs(pred-truth.AvgPowerPerChannel) / truth.AvgPowerPerChannel
 	if relErr > 0.15 {
 		t.Fatalf("surrogate off by %.1f%% on held-out config (pred %v, truth %v)",

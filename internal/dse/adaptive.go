@@ -1,11 +1,11 @@
 package dse
 
 import (
+	"context"
 	"fmt"
 
 	"graphdse/internal/memsim"
 	"graphdse/internal/ml"
-	"graphdse/internal/trace"
 )
 
 // AdaptiveDSE is the paper's §V proposal made concrete: instead of
@@ -43,8 +43,10 @@ type AdaptiveResult struct {
 }
 
 // Run executes the adaptive loop over the given space, labeling by real
-// simulation of events.
-func (a *AdaptiveDSE) Run(events []trace.Event, points []DesignPoint, sweep SweepOptions) (*AdaptiveResult, error) {
+// simulation of the prepared trace. The loop re-simulates the same trace
+// dozens of times, so every oracle call shares pt's decoded arrays and
+// partition cache. Every simulation runs under ctx.
+func (a *AdaptiveDSE) Run(ctx context.Context, pt *memsim.PreparedTrace, points []DesignPoint, sweep SweepOptions) (*AdaptiveResult, error) {
 	if a.Metric == "" {
 		a.Metric = "Power"
 	}
@@ -60,14 +62,6 @@ func (a *AdaptiveDSE) Run(events []trace.Event, points []DesignPoint, sweep Swee
 	if len(points) < a.InitialSamples {
 		return nil, fmt.Errorf("%w: %d points for %d initial samples", ErrNoData, len(points), a.InitialSamples)
 	}
-	// Decode once, replay many: the active-learning loop re-simulates the
-	// same trace dozens of times, so share one PreparedTrace across all
-	// oracle calls instead of re-validating the slice per simulation.
-	pt, err := memsim.Prepare(events)
-	if err != nil {
-		return nil, err
-	}
-
 	// Feature pool, min-max scaled over the whole space (features are known
 	// without simulation).
 	raw := make([][]float64, len(points))
@@ -97,7 +91,7 @@ func (a *AdaptiveDSE) Run(events []trace.Event, points []DesignPoint, sweep Swee
 		if v, ok := cache[i]; ok {
 			return v, nil
 		}
-		r, err := simulateOne(pt, points[i], sweep)
+		r, err := simulateOne(ctx, pt, points[i], sweep)
 		if err != nil {
 			return 0, err
 		}
@@ -152,8 +146,8 @@ func (a *AdaptiveDSE) Run(events []trace.Event, points []DesignPoint, sweep Swee
 
 // simulateOne runs the memory simulator for a single point over the shared
 // prepared trace.
-func simulateOne(pt *memsim.PreparedTrace, p DesignPoint, sweep SweepOptions) (*memsim.Result, error) {
-	recs, err := SweepPrepared(pt, []DesignPoint{p}, SweepOptions{
+func simulateOne(ctx context.Context, pt *memsim.PreparedTrace, p DesignPoint, sweep SweepOptions) (*memsim.Result, error) {
+	recs, err := SweepPreparedContext(ctx, pt, []DesignPoint{p}, SweepOptions{
 		FootprintLines: sweep.FootprintLines,
 		Workers:        1,
 	})

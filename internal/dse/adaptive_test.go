@@ -1,17 +1,16 @@
 package dse
 
 import (
+	"context"
 	"math"
 	"testing"
-
-	"graphdse/internal/memsim"
 )
 
 func TestAdaptiveDSEBudgetAndAccuracy(t *testing.T) {
 	if testing.Short() {
 		t.Skip("adaptive DSE in -short mode")
 	}
-	events := smallTrace(t)
+	pt := smallTrace(t)
 	points := EnumerateSpace(SpaceParams{
 		CPUFreqsMHz:  []float64{2000, 3000, 6500},
 		CtrlFreqsMHz: []float64{400, 1600},
@@ -19,7 +18,7 @@ func TestAdaptiveDSEBudgetAndAccuracy(t *testing.T) {
 	}) // 3×2×2 cells × 13 = 156 points
 	budget := 60
 	a := &AdaptiveDSE{Metric: "Power", InitialSamples: 12, BatchSize: 8, MaxSimulations: budget, Seed: 1}
-	res, err := a.Run(events, points, SweepOptions{})
+	res, err := a.Run(context.Background(), pt, points, SweepOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,17 +41,13 @@ func TestAdaptiveDSEBudgetAndAccuracy(t *testing.T) {
 	for _, r := range res.Records {
 		explored[r.Point.ID()] = true
 	}
-	pt, err := memsim.Prepare(events)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var checked int
 	var totalRel float64
 	for _, p := range points {
 		if explored[p.ID()] || checked >= 8 {
 			continue
 		}
-		truth, err := simulateOne(pt, p, SweepOptions{})
+		truth, err := simulateOne(context.Background(), pt, p, SweepOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -69,13 +64,13 @@ func TestAdaptiveDSEBudgetAndAccuracy(t *testing.T) {
 }
 
 func TestAdaptiveDSEValidation(t *testing.T) {
-	events := smallTrace(t)
+	pt := smallTrace(t)
 	a := &AdaptiveDSE{InitialSamples: 100}
-	if _, err := a.Run(events, EnumerateSpace(smallSpace())[:5], SweepOptions{}); err == nil {
+	if _, err := a.Run(context.Background(), pt, EnumerateSpace(smallSpace())[:5], SweepOptions{}); err == nil {
 		t.Fatal("expected too-few-points error")
 	}
 	b := &AdaptiveDSE{Metric: "nope"}
-	if _, err := b.Run(events, EnumerateSpace(smallSpace()), SweepOptions{}); err == nil {
+	if _, err := b.Run(context.Background(), pt, EnumerateSpace(smallSpace()), SweepOptions{}); err == nil {
 		t.Fatal("expected unknown-metric error")
 	}
 }

@@ -30,12 +30,12 @@ func canonicalSurvivors(t *testing.T, records []RunRecord) []string {
 }
 
 func TestCheckpointRoundTrip(t *testing.T) {
-	events := smallTrace(t)
+	pt := smallTrace(t)
 	points := EnumerateSpace(tinySpace())
 	path := filepath.Join(t.TempDir(), "sweep.ckpt")
 
 	// Resume against a missing checkpoint is a fresh start, not an error.
-	records, err := Sweep(events, points, SweepOptions{
+	records, err := SweepPreparedContext(context.Background(), pt, points, SweepOptions{
 		Faults: PaperFaults(0.25, 3), CheckpointPath: path, Resume: true,
 	})
 	if err != nil {
@@ -77,12 +77,12 @@ func TestCheckpointRoundTrip(t *testing.T) {
 }
 
 func TestCheckpointCorruptLineSkippedAndRerun(t *testing.T) {
-	events := smallTrace(t)
+	pt := smallTrace(t)
 	points := EnumerateSpace(tinySpace())
 	dir := t.TempDir()
 	path := filepath.Join(dir, "sweep.ckpt")
 
-	ref, err := Sweep(events, points, SweepOptions{CheckpointPath: path})
+	ref, err := SweepPreparedContext(context.Background(), pt, points, SweepOptions{CheckpointPath: path})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestCheckpointCorruptLineSkippedAndRerun(t *testing.T) {
 	var reran atomic.Int64
 	testHookPointStart = func(DesignPoint) { reran.Add(1) }
 	defer func() { testHookPointStart = nil }()
-	resumed, err := Sweep(events, points, SweepOptions{CheckpointPath: path, Resume: true})
+	resumed, err := SweepPreparedContext(context.Background(), pt, points, SweepOptions{CheckpointPath: path, Resume: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,13 +140,13 @@ func TestCheckpointCorruptLineSkippedAndRerun(t *testing.T) {
 // killed mid-flight and resumed from its checkpoint must produce surviving
 // records byte-identical to an uninterrupted run.
 func TestCheckpointKillResumeByteIdentical(t *testing.T) {
-	events := smallTrace(t)
+	pt := smallTrace(t)
 	points := EnumerateSpace(smallSpace())
 	inj := PaperFaults(0.2, 3)
 	dir := t.TempDir()
 
 	refPath := filepath.Join(dir, "ref.ckpt")
-	ref, err := Sweep(events, points, SweepOptions{Faults: inj, CheckpointPath: refPath})
+	ref, err := SweepPreparedContext(context.Background(), pt, points, SweepOptions{Faults: inj, CheckpointPath: refPath})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +162,7 @@ func TestCheckpointKillResumeByteIdentical(t *testing.T) {
 			cancel()
 		}
 	}
-	partial, err := SweepContext(ctx, events, points, SweepOptions{
+	partial, err := SweepPreparedContext(ctx, pt, points, SweepOptions{
 		Faults: inj, CheckpointPath: path, Workers: 2,
 	})
 	testHookPointDone = nil
@@ -180,7 +180,7 @@ func TestCheckpointKillResumeByteIdentical(t *testing.T) {
 	}
 
 	// Resume from the checkpoint and complete the sweep.
-	resumed, err := Sweep(events, points, SweepOptions{
+	resumed, err := SweepPreparedContext(context.Background(), pt, points, SweepOptions{
 		Faults: inj, CheckpointPath: path, Resume: true,
 	})
 	if err != nil {
@@ -213,12 +213,12 @@ func TestCheckpointKillResumeByteIdentical(t *testing.T) {
 // normal operation under concurrency, not corruption), and once the writer
 // finishes the line a reload must adopt the now-complete record.
 func TestCheckpointTornTailFromConcurrentWriter(t *testing.T) {
-	events := smallTrace(t)
+	pt := smallTrace(t)
 	points := EnumerateSpace(tinySpace())
 	dir := t.TempDir()
 	path := filepath.Join(dir, "sweep.ckpt")
 
-	ref, err := Sweep(events, points, SweepOptions{CheckpointPath: path})
+	ref, err := SweepPreparedContext(context.Background(), pt, points, SweepOptions{CheckpointPath: path})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +255,7 @@ func TestCheckpointTornTailFromConcurrentWriter(t *testing.T) {
 	// re-runs, and the result matches the uninterrupted sweep byte for byte.
 	var reran atomic.Int64
 	testHookPointStart = func(DesignPoint) { reran.Add(1) }
-	resumed, err := Sweep(events, points, SweepOptions{CheckpointPath: path, Resume: true})
+	resumed, err := SweepPreparedContext(context.Background(), pt, points, SweepOptions{CheckpointPath: path, Resume: true})
 	testHookPointStart = nil
 	if err != nil {
 		t.Fatal(err)
@@ -294,9 +294,9 @@ func TestCheckpointTornTailFromConcurrentWriter(t *testing.T) {
 // included, and damaged or out-of-space lines are rejected outright rather
 // than salvaged.
 func TestDecodeCanonicalRecordsRoundTrip(t *testing.T) {
-	events := smallTrace(t)
+	pt := smallTrace(t)
 	points := EnumerateSpace(tinySpace())
-	records, err := Sweep(events, points, SweepOptions{Faults: PaperFaults(0.25, 3)})
+	records, err := SweepPreparedContext(context.Background(), pt, points, SweepOptions{Faults: PaperFaults(0.25, 3)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package dse
 
 import (
 	"bytes"
+	"context"
 	"os"
 	"path/filepath"
 	"strings"
@@ -14,10 +15,10 @@ import (
 // plus the design space, the raw material for damage scenarios.
 func writeCheckpointLines(t *testing.T) ([]string, []DesignPoint, string) {
 	t.Helper()
-	events := smallTrace(t)
+	pt := smallTrace(t)
 	points := EnumerateSpace(tinySpace())
 	path := filepath.Join(t.TempDir(), "sweep.ckpt")
-	if _, err := Sweep(events, points, SweepOptions{CheckpointPath: path}); err != nil {
+	if _, err := SweepPreparedContext(context.Background(), pt, points, SweepOptions{CheckpointPath: path}); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(path)
@@ -115,7 +116,7 @@ func TestSweepResumeSalvageCallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got *CheckpointReport
-	records, err := Sweep(smallTrace(t), points, SweepOptions{
+	records, err := SweepPreparedContext(context.Background(), smallTrace(t), points, SweepOptions{
 		CheckpointPath:      path,
 		Resume:              true,
 		OnCheckpointSalvage: func(r *CheckpointReport) { got = r },
@@ -138,8 +139,8 @@ func TestSweepResumeSalvageCallback(t *testing.T) {
 // round-trips, rejects every single-byte flip and every truncation, and the
 // plain-CSV path still works through the same auto-detecting reader.
 func TestCSVCheckedRoundTripAndCorruption(t *testing.T) {
-	events := smallTrace(t)
-	records, err := Sweep(events, EnumerateSpace(tinySpace()), SweepOptions{})
+	pt := smallTrace(t)
+	records, err := SweepPreparedContext(context.Background(), pt, EnumerateSpace(tinySpace()), SweepOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -254,7 +254,8 @@ func attemptPoint(ctx context.Context, pt *memsim.PreparedTrace, p DesignPoint, 
 // simulatePoint applies any injected fault, then runs the memory simulator
 // and validates its metrics.
 func simulatePoint(ctx context.Context, pt *memsim.PreparedTrace, p DesignPoint, opts SweepOptions, inj *FaultInjector, attempt int) (*memsim.Result, error) {
-	switch inj.Decide(p, attempt) {
+	fault := inj.Decide(p, attempt)
+	switch fault {
 	case FaultCrash:
 		panic(fmt.Sprintf("injected crash for %s", p.ID()))
 	case FaultHang:
@@ -262,11 +263,17 @@ func simulatePoint(ctx context.Context, pt *memsim.PreparedTrace, p DesignPoint,
 		return nil, fmt.Errorf("dse: %s: injected hang: %w", p.ID(), ctx.Err())
 	case FaultTransient:
 		return nil, fmt.Errorf("dse: %s attempt %d: %w", p.ID(), attempt, ErrTransient)
+	}
+	sim, err := memsim.New(p.Config(opts.FootprintLines))
+	if err != nil {
+		return nil, err
+	}
+	res, err := sim.RunPrepared(pt)
+	if err != nil {
+		return nil, err
+	}
+	switch fault {
 	case FaultCorrupt:
-		res, err := memsim.RunPreparedTrace(p.Config(opts.FootprintLines), pt)
-		if err != nil {
-			return nil, err
-		}
 		poisoned := *res
 		poisoned.AvgPowerPerChannel = math.NaN()
 		if verr := poisoned.ValidateMetrics(); verr != nil {
@@ -278,10 +285,6 @@ func simulatePoint(ctx context.Context, pt *memsim.PreparedTrace, p DesignPoint,
 		// and positive (ValidateMetrics passes), but the bandwidth exceeds
 		// what the configured channel bus can physically carry. Only the
 		// invariant gate between stages catches it.
-		res, err := memsim.RunPreparedTrace(p.Config(opts.FootprintLines), pt)
-		if err != nil {
-			return nil, err
-		}
 		poisoned := *res
 		poisoned.AvgBandwidthPerBank = 2 * memsim.PeakBandwidthPerBankMBs(&poisoned.Config) * float64(poisoned.Config.Channels)
 		if verr := poisoned.ValidateMetrics(); verr != nil {
@@ -289,11 +292,7 @@ func simulatePoint(ctx context.Context, pt *memsim.PreparedTrace, p DesignPoint,
 		}
 		return &poisoned, nil
 	}
-	res, err := memsim.RunPreparedTrace(p.Config(opts.FootprintLines), pt)
-	if err != nil {
-		return nil, err
-	}
-	// RunPreparedTrace already validates, but guard against future simulator
+	// RunPrepared already validates, but guard against future simulator
 	// paths that bypass it.
 	if err := res.ValidateMetrics(); err != nil {
 		return nil, err

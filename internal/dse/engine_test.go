@@ -37,9 +37,9 @@ func TestWorkerPoolBoundedConcurrency(t *testing.T) {
 	testHookPointDone = func(DesignPoint) { cur.Add(-1) }
 	defer func() { testHookPointStart, testHookPointDone = nil, nil }()
 
-	events := smallTrace(t)
+	pt := smallTrace(t)
 	points := EnumerateSpace(smallSpace())
-	if _, err := Sweep(events, points, SweepOptions{Workers: 2}); err != nil {
+	if _, err := SweepPreparedContext(context.Background(), pt, points, SweepOptions{Workers: 2}); err != nil {
 		t.Fatal(err)
 	}
 	if p := peak.Load(); p > 2 {
@@ -48,10 +48,10 @@ func TestWorkerPoolBoundedConcurrency(t *testing.T) {
 }
 
 func TestSweepPanicIsolation(t *testing.T) {
-	events := smallTrace(t)
+	pt := smallTrace(t)
 	points := EnumerateSpace(smallSpace())
 	inj := &FaultInjector{Rules: []FaultRule{{Class: FaultCrash, Rate: 0.4, Seed: 9}}}
-	records, err := Sweep(events, points, SweepOptions{Faults: inj})
+	records, err := SweepPreparedContext(context.Background(), pt, points, SweepOptions{Faults: inj})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,11 +86,11 @@ func TestSweepPanicIsolation(t *testing.T) {
 }
 
 func TestSweepHangHitsDeadline(t *testing.T) {
-	events := smallTrace(t)
+	pt := smallTrace(t)
 	points := EnumerateSpace(tinySpace())
 	inj := &FaultInjector{Rules: []FaultRule{{Class: FaultHang, Rate: 0.3, Seed: 5}}}
 	start := time.Now()
-	records, err := Sweep(events, points, SweepOptions{Faults: inj, Timeout: 300 * time.Millisecond})
+	records, err := SweepPreparedContext(context.Background(), pt, points, SweepOptions{Faults: inj, Timeout: 300 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,13 +120,13 @@ func TestSweepHangHitsDeadline(t *testing.T) {
 
 func TestSweepHangDefaultsTimeout(t *testing.T) {
 	// A hang-class injector with no Timeout must not deadlock the sweep.
-	events := smallTrace(t)
+	pt := smallTrace(t)
 	points := EnumerateSpace(tinySpace())[:1]
 	inj := &FaultInjector{Rules: []FaultRule{{Class: FaultHang, Rate: 0.999999, Seed: 5}}}
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		if _, err := Sweep(events, points, SweepOptions{Faults: inj}); !errors.Is(err, ErrAllFailed) {
+		if _, err := SweepPreparedContext(context.Background(), pt, points, SweepOptions{Faults: inj}); !errors.Is(err, ErrAllFailed) {
 			t.Errorf("want ErrAllFailed, got %v", err)
 		}
 	}()
@@ -138,11 +138,11 @@ func TestSweepHangDefaultsTimeout(t *testing.T) {
 }
 
 func TestSweepTransientRetryRecovers(t *testing.T) {
-	events := smallTrace(t)
+	pt := smallTrace(t)
 	points := EnumerateSpace(tinySpace())
 	// Every point fails its first attempt; the first retry succeeds.
 	inj := &FaultInjector{Rules: []FaultRule{{Class: FaultTransient, Rate: 0.999999, Times: 1}}}
-	records, err := Sweep(events, points, SweepOptions{
+	records, err := SweepPreparedContext(context.Background(), pt, points, SweepOptions{
 		Faults: inj, Retries: 2, BackoffBase: time.Millisecond,
 	})
 	if err != nil {
@@ -158,7 +158,7 @@ func TestSweepTransientRetryRecovers(t *testing.T) {
 	}
 
 	// Without retries the same faults are terminal and classified transient.
-	records, err = Sweep(events, points, SweepOptions{Faults: inj})
+	records, err = SweepPreparedContext(context.Background(), pt, points, SweepOptions{Faults: inj})
 	if !errors.Is(err, ErrAllFailed) {
 		t.Fatalf("want ErrAllFailed without retries, got %v", err)
 	}
@@ -170,10 +170,10 @@ func TestSweepTransientRetryRecovers(t *testing.T) {
 }
 
 func TestSweepCorruptMetricsQuarantined(t *testing.T) {
-	events := smallTrace(t)
+	pt := smallTrace(t)
 	points := EnumerateSpace(smallSpace())
 	inj := &FaultInjector{Rules: []FaultRule{{Class: FaultCorrupt, Rate: 0.3, Seed: 2}}}
-	records, err := Sweep(events, points, SweepOptions{Faults: inj})
+	records, err := SweepPreparedContext(context.Background(), pt, points, SweepOptions{Faults: inj})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +205,7 @@ func TestSweepCorruptMetricsQuarantined(t *testing.T) {
 // TestSweepChaosAllClasses layers every fault class and asserts the sweep
 // finishes with exactly the survivor set the injector predicts.
 func TestSweepChaosAllClasses(t *testing.T) {
-	events := smallTrace(t)
+	pt := smallTrace(t)
 	points := EnumerateSpace(smallSpace())
 	inj := &FaultInjector{Rules: []FaultRule{
 		{Class: FaultCrash, Rate: 0.12, Seed: 11},
@@ -225,7 +225,7 @@ func TestSweepChaosAllClasses(t *testing.T) {
 			return false
 		}
 	}
-	records, err := Sweep(events, points, SweepOptions{
+	records, err := SweepPreparedContext(context.Background(), pt, points, SweepOptions{
 		Faults:      inj,
 		Retries:     retries,
 		Timeout:     300 * time.Millisecond,
@@ -258,10 +258,10 @@ func TestSweepChaosAllClasses(t *testing.T) {
 }
 
 func TestSweepMinSurvivors(t *testing.T) {
-	events := smallTrace(t)
+	pt := smallTrace(t)
 	points := EnumerateSpace(tinySpace())
 	inj := &FaultInjector{Rules: []FaultRule{{Class: FaultCrash, Rate: 0.7, Seed: 3}}}
-	records, err := Sweep(events, points, SweepOptions{Faults: inj, MinSurvivors: len(points)})
+	records, err := SweepPreparedContext(context.Background(), pt, points, SweepOptions{Faults: inj, MinSurvivors: len(points)})
 	var sf *SweepFailureError
 	if !errors.As(err, &sf) {
 		t.Fatalf("want *SweepFailureError, got %v", err)
@@ -277,17 +277,17 @@ func TestSweepMinSurvivors(t *testing.T) {
 	}
 
 	// The same sweep with an achievable minimum proceeds.
-	if _, err := Sweep(events, points, SweepOptions{Faults: inj, MinSurvivors: 1}); err != nil {
+	if _, err := SweepPreparedContext(context.Background(), pt, points, SweepOptions{Faults: inj, MinSurvivors: 1}); err != nil {
 		t.Fatalf("achievable minimum should pass: %v", err)
 	}
 }
 
 func TestSweepContextCancelled(t *testing.T) {
-	events := smallTrace(t)
+	pt := smallTrace(t)
 	points := EnumerateSpace(smallSpace())
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	records, err := SweepContext(ctx, events, points, SweepOptions{})
+	records, err := SweepPreparedContext(ctx, pt, points, SweepOptions{})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
@@ -299,9 +299,9 @@ func TestSweepContextCancelled(t *testing.T) {
 }
 
 func TestBuildDatasetQuarantinesInvalidSurvivors(t *testing.T) {
-	events := smallTrace(t)
+	pt := smallTrace(t)
 	points := EnumerateSpace(tinySpace())[:4]
-	records, err := Sweep(events, points, SweepOptions{})
+	records, err := SweepPreparedContext(context.Background(), pt, points, SweepOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -185,8 +185,8 @@ func TestWorkflowBelowMinSurvivorsAfterGate(t *testing.T) {
 }
 
 func TestTrainAndEvaluateCancellation(t *testing.T) {
-	events := smallTrace(t)
-	records, err := Sweep(events, EnumerateSpace(smallSpace()), SweepOptions{})
+	pt := smallTrace(t)
+	records, err := SweepPreparedContext(context.Background(), pt, EnumerateSpace(smallSpace()), SweepOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package dse
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -20,9 +21,9 @@ func gateSpace() SpaceParams {
 }
 
 func TestInvariantGateQuarantinesImpossibleMetrics(t *testing.T) {
-	events := smallTrace(t)
+	pt := smallTrace(t)
 	points := EnumerateSpace(gateSpace())
-	records, err := Sweep(events, points, SweepOptions{
+	records, err := SweepPreparedContext(context.Background(), pt, points, SweepOptions{
 		Faults: &FaultInjector{Rules: []FaultRule{{Class: FaultInvariant, Rate: 0.4, Seed: 3}}},
 	})
 	if err != nil {
@@ -42,7 +43,7 @@ func TestInvariantGateQuarantinesImpossibleMetrics(t *testing.T) {
 		t.Fatal("fault injection produced no physically impossible records; raise the rate")
 	}
 
-	rep, err := ApplyInvariantGate(records, int64(len(events)))
+	rep, err := ApplyInvariantGate(records, int64(pt.Len()))
 	if err != nil {
 		t.Fatalf("gate: %v", err)
 	}
@@ -103,13 +104,13 @@ func TestInvariantGateQuarantinesImpossibleMetrics(t *testing.T) {
 }
 
 func TestInvariantGateCleanSweepUntouched(t *testing.T) {
-	events := smallTrace(t)
+	pt := smallTrace(t)
 	points := EnumerateSpace(gateSpace())
-	records, err := Sweep(events, points, SweepOptions{})
+	records, err := SweepPreparedContext(context.Background(), pt, points, SweepOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := ApplyInvariantGate(records, int64(len(events)))
+	rep, err := ApplyInvariantGate(records, int64(pt.Len()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,15 +120,15 @@ func TestInvariantGateCleanSweepUntouched(t *testing.T) {
 }
 
 func TestCheckSurvivorsContract(t *testing.T) {
-	events := smallTrace(t)
+	pt := smallTrace(t)
 	points := EnumerateSpace(gateSpace())
-	records, err := Sweep(events, points, SweepOptions{
+	records, err := SweepPreparedContext(context.Background(), pt, points, SweepOptions{
 		Faults: &FaultInjector{Rules: []FaultRule{{Class: FaultInvariant, Rate: 0.4, Seed: 3}}},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := ApplyInvariantGate(records, int64(len(events)))
+	rep, err := ApplyInvariantGate(records, int64(pt.Len()))
 	if err != nil {
 		t.Fatal(err)
 	}

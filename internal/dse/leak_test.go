@@ -5,8 +5,6 @@ import (
 	"runtime"
 	"testing"
 	"time"
-
-	"graphdse/internal/memsim"
 )
 
 // waitGoroutinesSettle fails the test if the goroutine count does not return
@@ -31,11 +29,11 @@ func waitGoroutinesSettle(t *testing.T, base int) {
 }
 
 func TestSweepNoGoroutineLeak(t *testing.T) {
-	events := smallTrace(t)
+	pt := smallTrace(t)
 	points := EnumerateSpace(smallSpace())
 	base := runtime.NumGoroutine()
 	for i := 0; i < 3; i++ {
-		if _, err := Sweep(events, points, SweepOptions{Workers: 4}); err != nil {
+		if _, err := SweepPreparedContext(context.Background(), pt, points, SweepOptions{Workers: 4}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -43,11 +41,7 @@ func TestSweepNoGoroutineLeak(t *testing.T) {
 }
 
 func TestSweepCancelledNoGoroutineLeak(t *testing.T) {
-	events := smallTrace(t)
-	pt, err := memsim.Prepare(events)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pt := smallTrace(t)
 	points := EnumerateSpace(smallSpace())
 	base := runtime.NumGoroutine()
 	for i := 0; i < 3; i++ {
@@ -67,7 +61,7 @@ func TestSweepCancelledNoGoroutineLeak(t *testing.T) {
 }
 
 func TestSweepFailureNoGoroutineLeak(t *testing.T) {
-	events := smallTrace(t)
+	pt := smallTrace(t)
 	points := EnumerateSpace(smallSpace())
 	base := runtime.NumGoroutine()
 	for i := 0; i < 3; i++ {
@@ -77,7 +71,7 @@ func TestSweepFailureNoGoroutineLeak(t *testing.T) {
 			Workers: 4,
 			Faults:  &FaultInjector{Rules: []FaultRule{{Class: FaultCrash, Rate: 1.0, Seed: 3}}},
 		}
-		if _, err := Sweep(events, points, opts); err == nil {
+		if _, err := SweepPreparedContext(context.Background(), pt, points, opts); err == nil {
 			t.Fatal("expected all-failed sweep to report an error")
 		}
 	}

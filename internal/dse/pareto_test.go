@@ -2,6 +2,7 @@ package dse
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
@@ -10,9 +11,9 @@ import (
 )
 
 func TestParetoFrontBasics(t *testing.T) {
-	events := smallTrace(t)
+	pt := smallTrace(t)
 	points := EnumerateSpace(smallSpace())
-	records, err := Sweep(events, points, SweepOptions{})
+	records, err := SweepPreparedContext(context.Background(), pt, points, SweepOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,9 +47,9 @@ func TestParetoFrontBasics(t *testing.T) {
 }
 
 func TestParetoFrontSingleObjective(t *testing.T) {
-	events := smallTrace(t)
+	pt := smallTrace(t)
 	points := EnumerateSpace(smallSpace())
-	records, err := Sweep(events, points, SweepOptions{})
+	records, err := SweepPreparedContext(context.Background(), pt, points, SweepOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,8 +76,8 @@ func TestParetoFrontErrors(t *testing.T) {
 	if _, err := ParetoFront(nil, DefaultObjectives()); err == nil {
 		t.Fatal("expected no-data error")
 	}
-	events := smallTrace(t)
-	records, err := Sweep(events, EnumerateSpace(smallSpace()), SweepOptions{})
+	pt := smallTrace(t)
+	records, err := SweepPreparedContext(context.Background(), pt, EnumerateSpace(smallSpace()), SweepOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,8 +105,8 @@ func TestDominates(t *testing.T) {
 }
 
 func TestCSVRoundTrip(t *testing.T) {
-	events := smallTrace(t)
-	records, err := Sweep(events, EnumerateSpace(smallSpace()), SweepOptions{})
+	pt := smallTrace(t)
+	records, err := SweepPreparedContext(context.Background(), pt, EnumerateSpace(smallSpace()), SweepOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +170,7 @@ func TestCompareWorkloads(t *testing.T) {
 		{Kind: WorkloadPageRank, Vertices: 128, EdgeFactor: 4, Seed: 1, PRIters: 2},
 		{Kind: WorkloadCC, Vertices: 128, EdgeFactor: 4, Seed: 1},
 	}
-	comps, err := CompareWorkloads(sysim.DefaultConfig(), specs, smallSpace(), SweepOptions{})
+	comps, err := CompareWorkloads(context.Background(), sysim.DefaultConfig(), specs, smallSpace(), SweepOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,14 +199,14 @@ func TestTraceWorkloadErrors(t *testing.T) {
 	if _, _, err := TraceWorkload(sysim.DefaultConfig(), WorkloadSpec{Kind: WorkloadBFS, Vertices: 1, EdgeFactor: 4}); err == nil {
 		t.Fatal("expected graph error")
 	}
-	if _, err := CompareWorkloads(sysim.DefaultConfig(), nil, smallSpace(), SweepOptions{}); err == nil {
+	if _, err := CompareWorkloads(context.Background(), sysim.DefaultConfig(), nil, smallSpace(), SweepOptions{}); err == nil {
 		t.Fatal("expected no-workloads error")
 	}
 }
 
 func TestFeatureImportanceReport(t *testing.T) {
-	events := smallTrace(t)
-	records, err := Sweep(events, EnumerateSpace(SpaceParams{
+	pt := smallTrace(t)
+	records, err := SweepPreparedContext(context.Background(), pt, EnumerateSpace(SpaceParams{
 		CPUFreqsMHz:  []float64{2000, 6500},
 		CtrlFreqsMHz: []float64{400, 1600},
 		Channels:     []int{2, 4},

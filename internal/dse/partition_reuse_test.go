@@ -1,11 +1,10 @@
 package dse
 
 import (
+	"context"
 	"reflect"
 	"sync"
 	"testing"
-
-	"graphdse/internal/memsim"
 )
 
 // TestSweepPreparedPartitionReuse: a sweep's worker pool must route the
@@ -15,11 +14,7 @@ import (
 // points and workers the prepared trace's partition cache must record
 // exactly two builds — everything else replays a cached partition.
 func TestSweepPreparedPartitionReuse(t *testing.T) {
-	events := smallTrace(t)
-	pt, err := memsim.Prepare(events)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pt := smallTrace(t)
 	points := EnumerateSpace(SpaceParams{
 		CPUFreqsMHz:  []float64{2000, 6500},
 		CtrlFreqsMHz: []float64{400},
@@ -29,7 +24,7 @@ func TestSweepPreparedPartitionReuse(t *testing.T) {
 	if len(points) < 8 {
 		t.Fatalf("space too small to exercise reuse: %d points", len(points))
 	}
-	if _, err := SweepPrepared(pt, points, SweepOptions{Workers: 4}); err != nil {
+	if _, err := SweepPreparedContext(context.Background(), pt, points, SweepOptions{Workers: 4}); err != nil {
 		t.Fatal(err)
 	}
 	st := pt.PartitionCacheStats()
@@ -49,18 +44,14 @@ func TestSweepPreparedPartitionReuse(t *testing.T) {
 // engine pool under contention — must all produce the same records a lone
 // sweep does. Runs under -race in CI's chaos matrix.
 func TestPartitionSweepConcurrentStress(t *testing.T) {
-	events := smallTrace(t)
-	pt, err := memsim.Prepare(events)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pt := smallTrace(t)
 	points := EnumerateSpace(SpaceParams{
 		CPUFreqsMHz:  []float64{2000},
 		CtrlFreqsMHz: []float64{400},
 		Channels:     []int{2, 4},
 		Fractions:    []float64{0.25},
 	})
-	want, err := SweepPrepared(pt, points, SweepOptions{Workers: 1})
+	want, err := SweepPreparedContext(context.Background(), pt, points, SweepOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +63,7 @@ func TestPartitionSweepConcurrentStress(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			got[i], errs[i] = SweepPrepared(pt, points, SweepOptions{Workers: 2})
+			got[i], errs[i] = SweepPreparedContext(context.Background(), pt, points, SweepOptions{Workers: 2})
 		}(i)
 	}
 	wg.Wait()

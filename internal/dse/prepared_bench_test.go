@@ -1,42 +1,47 @@
 package dse
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
 	"graphdse/internal/memsim"
+	"graphdse/internal/trace"
 )
 
-// TestSweepPreparedMatchesSweep: the decode-once sweep must be
-// observationally identical to the slice-based Sweep — same records, same
-// metrics, same order — across the full small space.
+// TestSweepPreparedMatchesSweep: the decode-once parallel sweep must be
+// observationally identical to replaying each point on its own in one pass
+// over the raw events — same records, same metrics, same order — across the
+// full small space.
 func TestSweepPreparedMatchesSweep(t *testing.T) {
-	events := smallTrace(t)
+	events := smallEvents(t)
 	points := EnumerateSpace(smallSpace())
-	opts := SweepOptions{Workers: 2}
-
-	want, err := Sweep(events, points, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
 	pt, err := memsim.Prepare(events)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := SweepPrepared(pt, points, opts)
+	got, err := SweepPreparedContext(context.Background(), pt, points, SweepOptions{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != len(want) {
-		t.Fatalf("records = %d, want %d", len(got), len(want))
+	if len(got) != len(points) {
+		t.Fatalf("records = %d, want %d", len(got), len(points))
 	}
-	for i := range got {
-		if got[i].Point.ID() != want[i].Point.ID() {
-			t.Fatalf("record %d: point %s vs %s", i, got[i].Point.ID(), want[i].Point.ID())
+	for i, p := range points {
+		if got[i].Point.ID() != p.ID() {
+			t.Fatalf("record %d: point %s vs %s", i, got[i].Point.ID(), p.ID())
 		}
-		if !reflect.DeepEqual(got[i].Result, want[i].Result) {
+		sim, err := memsim.New(p.Config(0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := sim.RunSource(trace.NewSliceSource(events))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got[i].Result, want) {
 			t.Fatalf("record %d (%s): results differ:\n got %+v\nwant %+v",
-				i, got[i].Point.ID(), got[i].Result, want[i].Result)
+				i, p.ID(), got[i].Result, want)
 		}
 	}
 }
@@ -46,10 +51,10 @@ func TestSweepPreparedEmptyTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := SweepPrepared(pt, EnumerateSpace(smallSpace()), SweepOptions{}); err != memsim.ErrEmptyTrace {
+	if _, err := SweepPreparedContext(context.Background(), pt, EnumerateSpace(smallSpace()), SweepOptions{}); err != memsim.ErrEmptyTrace {
 		t.Fatalf("err = %v, want ErrEmptyTrace", err)
 	}
-	if _, err := SweepPrepared(nil, EnumerateSpace(smallSpace()), SweepOptions{}); err != memsim.ErrEmptyTrace {
+	if _, err := SweepPreparedContext(context.Background(), nil, EnumerateSpace(smallSpace()), SweepOptions{}); err != memsim.ErrEmptyTrace {
 		t.Fatalf("nil prepared: err = %v, want ErrEmptyTrace", err)
 	}
 }
@@ -67,15 +72,19 @@ func benchPoints() []DesignPoint {
 }
 
 // BenchmarkSweepSlice emulates the pre-refactor sweep: every design point
-// re-validates and re-decodes the full event slice via memsim.RunTrace.
+// re-validates and re-routes the full event slice in a one-pass RunSource.
 func BenchmarkSweepSlice(b *testing.B) {
-	events := smallTrace(b)
+	events := smallEvents(b)
 	points := benchPoints()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, p := range points {
-			if _, err := memsim.RunTrace(p.Config(0), events); err != nil {
+			sim, err := memsim.New(p.Config(0))
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := sim.RunSource(trace.NewSliceSource(events)); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -86,17 +95,17 @@ func BenchmarkSweepSlice(b *testing.B) {
 // the immutable PreparedTrace at every point. Acceptance requires lower
 // ns/op and allocs/op than BenchmarkSweepSlice.
 func BenchmarkSweepPrepared(b *testing.B) {
-	events := smallTrace(b)
-	pt, err := memsim.Prepare(events)
-	if err != nil {
-		b.Fatal(err)
-	}
+	pt := smallTrace(b)
 	points := benchPoints()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, p := range points {
-			if _, err := memsim.RunPreparedTrace(p.Config(0), pt); err != nil {
+			sim, err := memsim.New(p.Config(0))
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := sim.RunPrepared(pt); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -106,16 +115,12 @@ func BenchmarkSweepPrepared(b *testing.B) {
 // BenchmarkSweepEndToEnd measures the whole engine (worker pool included)
 // on the prepared path, the configuration the workflow now runs.
 func BenchmarkSweepEndToEnd(b *testing.B) {
-	events := smallTrace(b)
-	pt, err := memsim.Prepare(events)
-	if err != nil {
-		b.Fatal(err)
-	}
+	pt := smallTrace(b)
 	points := benchPoints()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := SweepPrepared(pt, points, SweepOptions{Workers: 2}); err != nil {
+		if _, err := SweepPreparedContext(context.Background(), pt, points, SweepOptions{Workers: 2}); err != nil {
 			b.Fatal(err)
 		}
 	}

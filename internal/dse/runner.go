@@ -11,7 +11,6 @@ import (
 	"graphdse/internal/artifact"
 	"graphdse/internal/guard"
 	"graphdse/internal/memsim"
-	"graphdse/internal/trace"
 )
 
 // RunRecord is the outcome of simulating one design point.
@@ -161,47 +160,20 @@ func (e *SweepFailureError) Error() string {
 		e.Survivors, e.Total, e.MinSurvivors, strings.Join(parts, " "))
 }
 
-// Sweep replays the trace against every design point in parallel and returns
-// one record per point, in input order. It never lets a single point kill
-// the sweep: panics, hangs, transient errors, and corrupted metrics are
-// contained in the point's record (see SweepContext for cancellation).
+// SweepPreparedContext replays a prepared trace against every design point
+// in parallel and returns one record per point, in input order. It never
+// lets a single point kill the sweep: panics, hangs, transient errors, and
+// corrupted metrics are contained in the point's record.
 //
-// The trace is validated and decoded exactly once, then shared read-only
-// across all points; callers sweeping the same trace repeatedly (or holding
-// it only as a stream) should use SweepPrepared directly.
-func Sweep(events []trace.Event, points []DesignPoint, opts SweepOptions) ([]RunRecord, error) {
-	//lint:ignore ctxpropagate documented top-level wrapper: the no-ctx convenience API mints the root context for SweepContext
-	return SweepContext(context.Background(), events, points, opts)
-}
-
-// SweepContext is Sweep with caller-controlled cancellation: when ctx is
-// cancelled, in-flight points finish as failures, undispatched points are
-// marked Skipped, and the partial records are returned alongside ctx's
-// error. Combined with CheckpointPath, a cancelled sweep resumes from its
-// completed records.
-func SweepContext(ctx context.Context, events []trace.Event, points []DesignPoint, opts SweepOptions) ([]RunRecord, error) {
-	if len(events) == 0 {
-		return nil, memsim.ErrEmptyTrace
-	}
-	pt, err := memsim.Prepare(events)
-	if err != nil {
-		return nil, err
-	}
-	return sweepEngine(ctx, pt, points, opts)
-}
-
-// SweepPrepared sweeps an already-prepared trace — the decode-once,
-// replay-many path. The PreparedTrace is shared read-only by all workers,
-// and its geometry-keyed partition cache means the trace is routed to
-// channels once per mapping geometry (not once per point): per-point
-// steady-state cost is channel simulation over pooled engine state.
-func SweepPrepared(pt *memsim.PreparedTrace, points []DesignPoint, opts SweepOptions) ([]RunRecord, error) {
-	//lint:ignore ctxpropagate documented top-level wrapper: the no-ctx convenience API mints the root context for SweepPreparedContext
-	return SweepPreparedContext(context.Background(), pt, points, opts)
-}
-
-// SweepPreparedContext is SweepPrepared with caller-controlled cancellation
-// (see SweepContext).
+// The PreparedTrace is shared read-only by all workers, and its
+// geometry-keyed partition cache means the trace is routed to channels once
+// per mapping geometry (not once per point): per-point steady-state cost is
+// channel simulation over pooled engine state.
+//
+// When ctx is cancelled, in-flight points finish as failures, undispatched
+// points are marked Skipped, and the partial records are returned alongside
+// ctx's error. Combined with CheckpointPath, a cancelled sweep resumes from
+// its completed records.
 func SweepPreparedContext(ctx context.Context, pt *memsim.PreparedTrace, points []DesignPoint, opts SweepOptions) ([]RunRecord, error) {
 	return sweepEngine(ctx, pt, points, opts)
 }

@@ -1,6 +1,7 @@
 package dse
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -23,7 +24,7 @@ func TestTable1Figure3Pinned(t *testing.T) {
 		Channels:     []int{2, 4},
 		Fractions:    []float64{0.25, 0.5, 0.75},
 	}
-	records, err := Sweep(smallTrace(t), EnumerateSpace(space), SweepOptions{})
+	records, err := SweepPreparedContext(context.Background(), smallTrace(t), EnumerateSpace(space), SweepOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +33,7 @@ func TestTable1Figure3Pinned(t *testing.T) {
 		t.Fatal(err)
 	}
 	models := DefaultModels(1)
-	table, fig3, err := TrainAndEvaluate(ds, models, 0.2, 7)
+	table, fig3, err := TrainAndEvaluateContext(context.Background(), ds, models, 0.2, 7, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

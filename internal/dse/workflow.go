@@ -147,14 +147,6 @@ type WorkflowResult struct {
 	Supervision *guard.Report
 }
 
-// RunWorkflow executes the full pipeline of Figure 1: workload → system
-// simulation → trace → memory-simulation sweep → dataset → surrogate
-// training and evaluation → recommendations.
-func RunWorkflow(opts WorkflowOptions) (*WorkflowResult, error) {
-	//lint:ignore ctxpropagate documented top-level wrapper: the no-ctx convenience API mints the root context for RunWorkflowContext
-	return RunWorkflowContext(context.Background(), opts)
-}
-
 // The pipeline governor doubles as the trace converter's degradation hook.
 var _ trace.WorkerGovernor = (*guard.Governor)(nil)
 
@@ -173,13 +165,15 @@ func (b beatingSource) Next(batch []trace.Event) (int, error) {
 	return n, err
 }
 
-// RunWorkflowContext is RunWorkflow hosted on the guard runtime: each Figure-1
-// stage (workload simulation, trace preparation, sweep, invariant gate,
-// dataset build, train/evaluate, recommend) runs supervised — heartbeat
-// watchdog, per-stage and whole-pipeline deadlines, panic capture — under
-// opts.Guard, with the pipeline's memory governor stepping sweep parallelism
-// down instead of dying. ctx aborts the sweep (which, with a checkpoint
-// configured, stays resumable).
+// RunWorkflowContext executes the full pipeline of Figure 1: workload →
+// system simulation → trace → memory-simulation sweep → dataset → surrogate
+// training and evaluation → recommendations. It is hosted on the guard
+// runtime: each stage (workload simulation, trace preparation, sweep,
+// invariant gate, dataset build, train/evaluate, recommend) runs supervised —
+// heartbeat watchdog, per-stage and whole-pipeline deadlines, panic capture —
+// under opts.Guard, with the pipeline's memory governor stepping sweep
+// parallelism down instead of dying. ctx aborts the sweep (which, with a
+// checkpoint configured, stays resumable).
 //
 // The workflow degrades gracefully under sweep failures — it proceeds
 // whenever the survivor count clears opts.Sweep.MinSurvivors after the
@@ -305,16 +299,11 @@ func runWorkflowStages(ctx context.Context, p *guard.Pipeline, opts WorkflowOpti
 	})
 }
 
-// TrainAndEvaluate fits every model on every metric (min-max scaled, 80/20
-// split per the paper) and returns Table I rows plus Figure 3 series.
-func TrainAndEvaluate(ds *Dataset, models []ModelSpec, testFrac float64, splitSeed int64) ([]ModelPerf, map[string]*Figure3Series, error) {
-	//lint:ignore ctxpropagate documented top-level wrapper: the no-ctx convenience API mints the root context for TrainAndEvaluateContext
-	return TrainAndEvaluateContext(context.Background(), ds, models, testFrac, splitSeed, nil)
-}
-
-// TrainAndEvaluateContext is TrainAndEvaluate under supervision: ctx is
-// checked before every model×metric fit (the longest uninterruptible unit of
-// training work) and beat, when non-nil, marks a heartbeat after each fit.
+// TrainAndEvaluateContext fits every model on every metric (min-max scaled,
+// 80/20 split per the paper) and returns Table I rows plus Figure 3 series.
+// ctx is checked before every model×metric fit (the longest uninterruptible
+// unit of training work) and beat, when non-nil, marks a heartbeat after
+// each fit.
 func TrainAndEvaluateContext(ctx context.Context, ds *Dataset, models []ModelSpec, testFrac float64, splitSeed int64, beat func()) ([]ModelPerf, map[string]*Figure3Series, error) {
 	if ds.Len() < 5 {
 		return nil, nil, fmt.Errorf("%w: %d rows", ErrNoData, ds.Len())

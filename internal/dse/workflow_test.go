@@ -2,6 +2,7 @@ package dse
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
@@ -20,19 +21,31 @@ func smallSpace() SpaceParams {
 	}
 }
 
-func smallTrace(t testing.TB) []trace.Event {
+// smallEvents is the tests' fixture workload: a 256-vertex BFS trace.
+func smallEvents(t testing.TB) []trace.Event {
 	t.Helper()
-	m, _, err := sysim.PaperWorkloadTrace(sysim.DefaultConfig(), 256, 8, 7, 1)
+	m, _, err := sysim.PaperWorkloadTraceContext(context.Background(), sysim.DefaultConfig(), 256, 8, 7, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return m.Trace()
 }
 
+// smallTrace is the fixture workload prepared once, the way the workflow
+// prepares its trace before sweeping.
+func smallTrace(t testing.TB) *memsim.PreparedTrace {
+	t.Helper()
+	pt, err := memsim.Prepare(smallEvents(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pt
+}
+
 func TestSweepProducesResults(t *testing.T) {
-	events := smallTrace(t)
+	pt := smallTrace(t)
 	points := EnumerateSpace(smallSpace())
-	records, err := Sweep(events, points, SweepOptions{})
+	records, err := SweepPreparedContext(context.Background(), pt, points, SweepOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,10 +66,10 @@ func TestSweepProducesResults(t *testing.T) {
 }
 
 func TestSweepFailureInjectionDeterministic(t *testing.T) {
-	events := smallTrace(t)
+	pt := smallTrace(t)
 	points := EnumerateSpace(SpaceParams{}) // full 416
 	// Don't simulate: rate 1.0 fails everything before running, so this is fast.
-	_, err := Sweep(events, points, SweepOptions{FailureRate: 0.9999999})
+	_, err := SweepPreparedContext(context.Background(), pt, points, SweepOptions{FailureRate: 0.9999999})
 	if err == nil {
 		t.Fatal("expected ErrAllFailed at ~100% failure rate")
 	}
@@ -81,18 +94,18 @@ func TestSweepFailureInjectionDeterministic(t *testing.T) {
 }
 
 func TestSweepInputValidation(t *testing.T) {
-	if _, err := Sweep(nil, EnumerateSpace(smallSpace()), SweepOptions{}); err == nil {
+	if _, err := SweepPreparedContext(context.Background(), nil, EnumerateSpace(smallSpace()), SweepOptions{}); err == nil {
 		t.Fatal("expected empty-trace error")
 	}
-	if _, err := Sweep(smallTrace(t), nil, SweepOptions{}); err == nil {
+	if _, err := SweepPreparedContext(context.Background(), smallTrace(t), nil, SweepOptions{}); err == nil {
 		t.Fatal("expected empty-space error")
 	}
 }
 
 func TestBuildDataset(t *testing.T) {
-	events := smallTrace(t)
+	pt := smallTrace(t)
 	points := EnumerateSpace(smallSpace())
-	records, err := Sweep(events, points, SweepOptions{FailureRate: 0.2, FailureSeed: 3})
+	records, err := SweepPreparedContext(context.Background(), pt, points, SweepOptions{FailureRate: 0.2, FailureSeed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,9 +137,9 @@ func TestBuildDataset(t *testing.T) {
 }
 
 func TestBuildFigure2GroupsAndAverages(t *testing.T) {
-	events := smallTrace(t)
+	pt := smallTrace(t)
 	points := EnumerateSpace(smallSpace())
-	records, err := Sweep(events, points, SweepOptions{})
+	records, err := SweepPreparedContext(context.Background(), pt, points, SweepOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +167,7 @@ func TestRunWorkflowEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("end-to-end workflow in -short mode")
 	}
-	res, err := RunWorkflow(WorkflowOptions{
+	res, err := RunWorkflowContext(context.Background(), WorkflowOptions{
 		Vertices:   256,
 		EdgeFactor: 8,
 		Seed:       42,
@@ -205,9 +218,9 @@ func TestRunWorkflowEndToEnd(t *testing.T) {
 }
 
 func TestRenderers(t *testing.T) {
-	events := smallTrace(t)
+	pt := smallTrace(t)
 	points := EnumerateSpace(smallSpace())
-	records, err := Sweep(events, points, SweepOptions{})
+	records, err := SweepPreparedContext(context.Background(), pt, points, SweepOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +228,7 @@ func TestRenderers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	table1, fig3, err := TrainAndEvaluate(ds, []ModelSpec{DefaultModels(1)[0]}, 0.2, 1)
+	table1, fig3, err := TrainAndEvaluateContext(context.Background(), ds, []ModelSpec{DefaultModels(1)[0]}, 0.2, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,14 +256,14 @@ func TestRenderers(t *testing.T) {
 
 func TestTrainAndEvaluateTooFewRows(t *testing.T) {
 	ds := &Dataset{Y: map[string][]float64{}}
-	if _, _, err := TrainAndEvaluate(ds, DefaultModels(1), 0.2, 1); err == nil {
+	if _, _, err := TrainAndEvaluateContext(context.Background(), ds, DefaultModels(1), 0.2, 1, nil); err == nil {
 		t.Fatal("expected error for empty dataset")
 	}
 }
 
 func TestPlotFigure3(t *testing.T) {
-	events := smallTrace(t)
-	records, err := Sweep(events, EnumerateSpace(smallSpace()), SweepOptions{})
+	pt := smallTrace(t)
+	records, err := SweepPreparedContext(context.Background(), pt, EnumerateSpace(smallSpace()), SweepOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +271,7 @@ func TestPlotFigure3(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, fig3, err := TrainAndEvaluate(ds, DefaultModels(1), 0.25, 1)
+	_, fig3, err := TrainAndEvaluateContext(context.Background(), ds, DefaultModels(1), 0.25, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package dse
 
 import (
+	"context"
 	"fmt"
 	"io"
 
@@ -88,8 +89,8 @@ type WorkloadComparison struct {
 
 // CompareWorkloads sweeps each workload through the design space and
 // derives per-workload recommendations, answering whether the memory
-// co-design choice is workload-sensitive.
-func CompareWorkloads(cfg sysim.Config, specs []WorkloadSpec, space SpaceParams, sweep SweepOptions) ([]WorkloadComparison, error) {
+// co-design choice is workload-sensitive. ctx cancels the sweeps.
+func CompareWorkloads(ctx context.Context, cfg sysim.Config, specs []WorkloadSpec, space SpaceParams, sweep SweepOptions) ([]WorkloadComparison, error) {
 	if len(specs) == 0 {
 		return nil, fmt.Errorf("%w: no workloads", ErrNoData)
 	}
@@ -110,7 +111,7 @@ func CompareWorkloads(cfg sysim.Config, specs []WorkloadSpec, space SpaceParams,
 			so.FootprintLines = footprint
 		}
 		points := EnumerateSpace(space)
-		records, err := SweepPrepared(pt, points, so)
+		records, err := SweepPreparedContext(ctx, pt, points, so)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", spec.Label(), err)
 		}

@@ -175,8 +175,12 @@ func TestTraceCachePartitionSharing(t *testing.T) {
 				return
 			}
 			// Half the jobs sweep a 2-channel config, half a 4-channel one.
-			cfg := memsim.NewDRAMConfig(2+2*(i%2), 2000, 400)
-			_, errs[i] = memsim.RunPreparedTrace(cfg, got)
+			sim, err := memsim.New(memsim.NewDRAMConfig(2+2*(i%2), 2000, 400))
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			_, errs[i] = sim.RunPrepared(got)
 		}(i)
 	}
 	wg.Wait()

@@ -17,8 +17,10 @@ import (
 //   - any other use in a non-main package (library code must accept the
 //     context from its caller; only binaries mint the root context).
 //
-// Documented top-level convenience wrappers (dse.RunWorkflow and friends)
-// carry a //lint:ignore ctxpropagate suppression with the rationale.
+// Library entry points have no context-free convenience twins; the rare
+// deliberate exception (guard.Run swapping in Background after its parent
+// ctx fired) carries a //lint:ignore ctxpropagate suppression with the
+// rationale.
 var CtxPropagate = &Analyzer{
 	Name: "ctxpropagate",
 	Doc:  "functions receiving a ctx must not mint context.Background/TODO; library code threads the caller's context",

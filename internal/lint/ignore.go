@@ -12,8 +12,8 @@ import (
 //
 //	os.WriteFile(p, b, 0o644) //lint:ignore atomicwrite bootstrap file predates the artifact layer
 //
-//	//lint:ignore ctxpropagate documented top-level wrapper: mints the root context
-//	return RunWorkflowContext(context.Background(), opts)
+//	//lint:ignore ctxpropagate the parent ctx already fired; Background keeps the select from re-entering
+//	ctx = context.Background()
 type suppression struct {
 	analyzers []string
 	line      int

@@ -43,9 +43,6 @@ func NewDense(r, c int, data []float64) *Dense {
 // Dims returns the row and column counts.
 func (m *Dense) Dims() (r, c int) { return m.rows, m.cols }
 
-// Rows returns the number of rows.
-func (m *Dense) Rows() int { return m.rows }
-
 // Cols returns the number of columns.
 func (m *Dense) Cols() int { return m.cols }
 
@@ -190,15 +187,6 @@ func (m *Dense) AddDiag(v float64) *Dense {
 	}
 	for i := 0; i < n; i++ {
 		m.data[i*m.cols+i] += v
-	}
-	return m
-}
-
-// Identity returns the n-by-n identity matrix.
-func Identity(n int) *Dense {
-	m := NewDense(n, n, nil)
-	for i := 0; i < n; i++ {
-		m.data[i*n+i] = 1
 	}
 	return m
 }

@@ -114,7 +114,7 @@ func TestMulIdentity(t *testing.T) {
 			a.Set(i, j, rng.NormFloat64())
 		}
 	}
-	got, err := Mul(a, Identity(4))
+	got, err := Mul(a, identity(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,4 +262,13 @@ func mustPanic(t *testing.T, f func()) {
 		}
 	}()
 	f()
+}
+
+// identity returns the n-by-n identity matrix.
+func identity(n int) *Dense {
+	m := NewDense(n, n, nil)
+	for i := 0; i < n; i++ {
+		m.data[i*n+i] = 1
+	}
+	return m
 }

@@ -60,7 +60,7 @@ func TestCholeskySolve(t *testing.T) {
 }
 
 func TestCholeskySolveShapeError(t *testing.T) {
-	l, err := Cholesky(Identity(3))
+	l, err := Cholesky(identity(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestQRRejectsZeroColumn(t *testing.T) {
 }
 
 func TestQRSolveShapeError(t *testing.T) {
-	f, err := QRFactor(Identity(3))
+	f, err := QRFactor(identity(3))
 	if err != nil {
 		t.Fatal(err)
 	}

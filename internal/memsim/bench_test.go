@@ -86,9 +86,13 @@ func BenchmarkReplayByType(b *testing.B) {
 	for _, name := range []string{"DRAM", "NVM", "HybridCache", "HybridFlat"} {
 		cfg := cases[name]
 		b.Run(name, func(b *testing.B) {
+			sim, err := New(cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
 			b.SetBytes(int64(len(events)))
 			for i := 0; i < b.N; i++ {
-				if _, err := RunTrace(cfg, events); err != nil {
+				if _, err := sim.RunSource(trace.NewSliceSource(events)); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -101,8 +105,12 @@ func BenchmarkReplayByChannels(b *testing.B) {
 	for _, ch := range []int{1, 2, 4, 8} {
 		cfg := NewDRAMConfig(ch, 2000, 666)
 		b.Run(strconv.Itoa(ch)+"ch", func(b *testing.B) {
+			sim, err := New(cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
 			for i := 0; i < b.N; i++ {
-				if _, err := RunTrace(cfg, events); err != nil {
+				if _, err := sim.RunSource(trace.NewSliceSource(events)); err != nil {
 					b.Fatal(err)
 				}
 			}

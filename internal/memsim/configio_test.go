@@ -63,14 +63,14 @@ func TestConfigFileRoundTrip(t *testing.T) {
 }
 
 func TestRefreshModel(t *testing.T) {
-	events := syntheticTrace(10000, 17)
+	pt := mustPrepare(t, syntheticTrace(10000, 17))
 	base := NewDRAMConfig(2, 2000, 400)
 	refreshed := NewDRAMConfig(2, 2000, 400)
 	refreshed.Timing.TREFI = 3120 // 7.8 µs at 400 MHz
 	refreshed.Timing.TRFC = 140
 	refreshed.Energy.ERefresh = 20
-	a := runCfg(t, base, events)
-	b := runCfg(t, refreshed, events)
+	a := runCfg(t, base, pt)
+	b := runCfg(t, refreshed, pt)
 	var refreshes uint64
 	for _, ch := range b.Channels {
 		refreshes += ch.Refreshes
@@ -94,8 +94,8 @@ func TestRefreshModel(t *testing.T) {
 }
 
 func TestLatencyPercentiles(t *testing.T) {
-	events := scatterTrace(20000, 18)
-	res := runCfg(t, NewNVMConfig(2, 2000, 400, 40), events)
+	pt := mustPrepare(t, scatterTrace(20000, 18))
+	res := runCfg(t, NewNVMConfig(2, 2000, 400, 40), pt)
 	if !(res.TotalLatencyP50 <= res.TotalLatencyP95 && res.TotalLatencyP95 <= res.TotalLatencyP99) {
 		t.Fatalf("percentiles not monotone: %v %v %v",
 			res.TotalLatencyP50, res.TotalLatencyP95, res.TotalLatencyP99)
@@ -129,10 +129,10 @@ func TestLatencyPercentileHelper(t *testing.T) {
 }
 
 func TestResultStringFlatHybrid(t *testing.T) {
-	events := syntheticTrace(2000, 19)
+	pt := mustPrepare(t, syntheticTrace(2000, 19))
 	cfg := NewHybridConfig(2, 2000, 400, 40, 0.25)
 	cfg.HybridMode = HybridFlat
-	res := runCfg(t, cfg, events)
+	res := runCfg(t, cfg, pt)
 	if s := res.String(); s == "" {
 		t.Fatal("empty render")
 	}
@@ -145,13 +145,13 @@ func TestQueueDepthSensitivity(t *testing.T) {
 	// A deeper controller queue admits more requests before stalling, so the
 	// queue-inclusive total latency grows with depth under saturation while
 	// front-end stalls shrink.
-	events := scatterTrace(15000, 20)
+	pt := mustPrepare(t, scatterTrace(15000, 20))
 	shallow := NewNVMConfig(2, 2000, 400, 80)
 	shallow.QueueDepth = 4
 	deep := NewNVMConfig(2, 2000, 400, 80)
 	deep.QueueDepth = 64
-	a := runCfg(t, shallow, events)
-	b := runCfg(t, deep, events)
+	a := runCfg(t, shallow, pt)
+	b := runCfg(t, deep, pt)
 	if b.AvgTotalLatency <= a.AvgTotalLatency {
 		t.Fatalf("deeper queue should raise total latency under saturation: %v vs %v",
 			b.AvgTotalLatency, a.AvgTotalLatency)

@@ -1,12 +1,15 @@
 package memsim
 
 import (
+	"bytes"
 	"encoding/json"
 	"math"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
+
+	"graphdse/internal/trace"
 )
 
 // The golden equivalence suite pins the replay engine's exact output across
@@ -104,7 +107,8 @@ func marshalFixture(t *testing.T, res *Result) []byte {
 	return append(data, '\n')
 }
 
-func loadFixture(t *testing.T, name string) *Result {
+// loadFixture returns a committed fixture's bytes and the Result they hold.
+func loadFixture(t *testing.T, name string) ([]byte, *Result) {
 	t.Helper()
 	data, err := os.ReadFile(fixturePath(name))
 	if err != nil {
@@ -117,12 +121,14 @@ func loadFixture(t *testing.T, name string) *Result {
 	if fx.LifetimeInf {
 		fx.Result.LifetimeYears = math.Inf(1)
 	}
-	return &fx.Result
+	return data, &fx.Result
 }
 
 // TestGoldenEquivalence replays the deterministic golden trace against every
-// matrix cell through all three public replay paths and requires each to be
-// bit-identical to the committed fixture.
+// matrix cell through both public replay paths — the one-pass RunSource and
+// the sweep's Prepare + RunPrepared (fresh, then again on the same simulator
+// to exercise pooled engines and the cached partition) — and requires each
+// to reproduce the committed fixture byte for byte.
 func TestGoldenEquivalence(t *testing.T) {
 	events := syntheticTrace(goldenTraceN, 77)
 	update := os.Getenv("MEMSIM_UPDATE_GOLDEN") != ""
@@ -131,14 +137,15 @@ func TestGoldenEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	pt, err := Prepare(events)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pt := mustPrepare(t, events)
 	for _, c := range goldenCases() {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
-			res, err := RunTrace(c.cfg, events)
+			sim, err := New(c.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := sim.RunSource(trace.NewSliceSource(events))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -148,31 +155,27 @@ func TestGoldenEquivalence(t *testing.T) {
 				}
 				return
 			}
-			want := loadFixture(t, c.name)
-			if !reflect.DeepEqual(res, want) {
-				t.Fatalf("Run diverged from golden fixture %s:\n got %+v\nwant %+v", c.name, res, want)
+			wantBytes, want := loadFixture(t, c.name)
+			check := func(path string, got *Result) {
+				t.Helper()
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s diverged from golden fixture %s:\n got %+v\nwant %+v", path, c.name, got, want)
+				}
+				if !bytes.Equal(marshalFixture(t, got), wantBytes) {
+					t.Fatalf("%s does not reproduce the bytes of golden fixture %s", path, c.name)
+				}
 			}
-			// The prepared path must be identical, not merely close.
-			sim, err := New(c.cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
+			check("RunSource", res)
 			prepRes, err := sim.RunPrepared(pt)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(prepRes, want) {
-				t.Fatalf("RunPrepared diverged from golden fixture %s", c.name)
-			}
-			// Replaying again on the same simulator exercises state reuse
-			// (pooled engines, cached partitions); still bit-identical.
+			check("RunPrepared", prepRes)
 			again, err := sim.RunPrepared(pt)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(again, want) {
-				t.Fatalf("repeat RunPrepared diverged from golden fixture %s", c.name)
-			}
+			check("repeat RunPrepared", again)
 		})
 	}
 }

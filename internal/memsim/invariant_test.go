@@ -27,7 +27,7 @@ func invariantTrace(n int) []trace.Event {
 }
 
 func TestValidatePhysicalAcceptsRealResults(t *testing.T) {
-	events := invariantTrace(4000)
+	pt := mustPrepare(t, invariantTrace(4000))
 	configs := map[string]Config{
 		"dram":       NewDRAMConfig(2, 2000, 400),
 		"nvm":        NewNVMConfig(4, 3000, 666, 50),
@@ -35,22 +35,16 @@ func TestValidatePhysicalAcceptsRealResults(t *testing.T) {
 		"hybridFlat": func() Config { c := NewHybridConfig(2, 2000, 400, 40, 0.5); c.HybridMode = HybridFlat; return c }(),
 	}
 	for name, cfg := range configs {
-		res, err := RunTrace(cfg, events)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if err := res.ValidatePhysical(int64(len(events))); err != nil {
+		res := runCfg(t, cfg, pt)
+		if err := res.ValidatePhysical(int64(pt.Len())); err != nil {
 			t.Errorf("%s: healthy result rejected: %v", name, err)
 		}
 	}
 }
 
 func TestValidatePhysicalRejectsImpossibleBandwidth(t *testing.T) {
-	events := invariantTrace(500)
-	res, err := RunTrace(NewDRAMConfig(2, 2000, 400), events)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pt := mustPrepare(t, invariantTrace(500))
+	res := runCfg(t, NewDRAMConfig(2, 2000, 400), pt)
 	peak := PeakBandwidthPerBankMBs(&res.Config)
 	if res.AvgBandwidthPerBank > peak {
 		t.Fatalf("simulator itself exceeds peak: %v > %v", res.AvgBandwidthPerBank, peak)
@@ -62,43 +56,37 @@ func TestValidatePhysicalRejectsImpossibleBandwidth(t *testing.T) {
 		t.Fatalf("ValidateMetrics unexpectedly rejected: %v", err)
 	}
 	// …the physical gate does.
-	err = poisoned.ValidatePhysical(int64(len(events)))
+	err := poisoned.ValidatePhysical(int64(pt.Len()))
 	if !errors.Is(err, ErrPhysicalInvariant) {
 		t.Fatalf("impossible bandwidth accepted: %v", err)
 	}
 }
 
 func TestValidatePhysicalRejectsSubFloorLatency(t *testing.T) {
-	events := invariantTrace(500)
-	res, err := RunTrace(NewNVMConfig(2, 2000, 400, 50), events)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pt := mustPrepare(t, invariantTrace(500))
+	res := runCfg(t, NewNVMConfig(2, 2000, 400, 50), pt)
 	floor := MinDeviceLatencyCycles(&res.Config)
 	if res.AvgLatency < floor {
 		t.Fatalf("simulator itself undercuts floor: %v < %v", res.AvgLatency, floor)
 	}
 	poisoned := *res
 	poisoned.AvgLatency = floor / 2
-	if err := poisoned.ValidatePhysical(int64(len(events))); !errors.Is(err, ErrPhysicalInvariant) {
+	if err := poisoned.ValidatePhysical(int64(pt.Len())); !errors.Is(err, ErrPhysicalInvariant) {
 		t.Fatalf("sub-floor latency accepted: %v", err)
 	}
 }
 
 func TestValidatePhysicalRejectsZeroPowerAndBadOps(t *testing.T) {
-	events := invariantTrace(500)
-	res, err := RunTrace(NewDRAMConfig(2, 2000, 400), events)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pt := mustPrepare(t, invariantTrace(500))
+	res := runCfg(t, NewDRAMConfig(2, 2000, 400), pt)
 	noPower := *res
 	noPower.AvgPowerPerChannel = 0
-	if err := noPower.ValidatePhysical(int64(len(events))); !errors.Is(err, ErrPhysicalInvariant) {
+	if err := noPower.ValidatePhysical(int64(pt.Len())); !errors.Is(err, ErrPhysicalInvariant) {
 		t.Fatalf("zero power accepted: %v", err)
 	}
 	badOps := *res
 	badOps.AvgReadsPerChannel *= 3
-	if err := badOps.ValidatePhysical(int64(len(events))); !errors.Is(err, ErrPhysicalInvariant) {
+	if err := badOps.ValidatePhysical(int64(pt.Len())); !errors.Is(err, ErrPhysicalInvariant) {
 		t.Fatalf("inflated op count accepted: %v", err)
 	}
 	// With an unknown trace length the ops check is skipped.

@@ -32,9 +32,12 @@ func waitGoroutinesSettle(t *testing.T, base int) {
 func TestRunTraceSourceNoGoroutineLeak(t *testing.T) {
 	events := syntheticTrace(4000, 51)
 	base := runtime.NumGoroutine()
+	sim, err := New(NewDRAMConfig(4, 2000, 400))
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i < 5; i++ {
-		cfg := NewDRAMConfig(4, 2000, 400)
-		if _, err := RunTraceSource(cfg, trace.NewSliceSource(events)); err != nil {
+		if _, err := sim.RunSource(trace.NewSliceSource(events)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -63,10 +66,13 @@ func (s *errSource) Next(batch []trace.Event) (int, error) {
 func TestRunTraceSourceErrorPathNoGoroutineLeak(t *testing.T) {
 	events := syntheticTrace(4000, 52)
 	base := runtime.NumGoroutine()
+	sim, err := New(NewDRAMConfig(4, 2000, 400))
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i < 5; i++ {
-		cfg := NewDRAMConfig(4, 2000, 400)
 		src := &errSource{inner: trace.NewSliceSource(events), left: 1000}
-		if _, err := RunTraceSource(cfg, src); err == nil {
+		if _, err := sim.RunSource(src); err == nil {
 			t.Fatal("expected source error to propagate")
 		}
 	}

@@ -40,20 +40,14 @@ func TestPartitionParallelBuildEquivalence(t *testing.T) {
 // geometry share one partition build, and the per-trace cache stays bounded
 // at partitionCacheCap geometries with LRU eviction.
 func TestPartitionCacheSingleFlightAndEviction(t *testing.T) {
-	events := syntheticTrace(4096, 7)
-	pt, err := Prepare(events)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pt := mustPrepare(t, syntheticTrace(4096, 7))
 	// Walk more geometries than the cache holds (vary LineBytes, which is
 	// part of the mapping geometry), then revisit the most recent one.
 	var last Config
 	for i := 0; i < partitionCacheCap+2; i++ {
 		last = NewDRAMConfig(2, 2000, 666)
 		last.LineBytes = 32 << uint(i)
-		if _, err := RunPreparedTrace(last, pt); err != nil {
-			t.Fatal(err)
-		}
+		runCfg(t, last, pt)
 	}
 	st := pt.PartitionCacheStats()
 	if st.Entries > partitionCacheCap {
@@ -62,9 +56,7 @@ func TestPartitionCacheSingleFlightAndEviction(t *testing.T) {
 	if st.Misses != uint64(partitionCacheCap+2) {
 		t.Fatalf("distinct geometries must all build: %+v", st)
 	}
-	if _, err := RunPreparedTrace(last, pt); err != nil {
-		t.Fatal(err)
-	}
+	runCfg(t, last, pt)
 	if st = pt.PartitionCacheStats(); st.Hits != 1 {
 		t.Fatalf("revisiting the most recent geometry must hit: %+v", st)
 	}

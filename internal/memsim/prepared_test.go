@@ -2,6 +2,7 @@ package memsim
 
 import (
 	"bytes"
+	"io"
 	"reflect"
 	"testing"
 
@@ -23,44 +24,72 @@ func preparedConfigs() map[string]Config {
 }
 
 // TestRunPreparedMatchesRun is the core decode-once guarantee: replaying a
-// PreparedTrace must yield a Result identical to the validate-per-run slice
-// path, for every memory organization.
+// PreparedTrace must yield a Result identical to the one-pass RunSource
+// replay of the same events, which validates and routes every event itself,
+// for every memory organization.
 func TestRunPreparedMatchesRun(t *testing.T) {
 	events := syntheticTrace(4000, 7)
-	pt, err := Prepare(events)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pt := mustPrepare(t, events)
 	for name, cfg := range preparedConfigs() {
-		want := runCfg(t, cfg, events)
-		got, err := RunPreparedTrace(cfg, pt)
+		sim, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := sim.RunSource(trace.NewSliceSource(events))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		got, err := sim.RunPrepared(pt)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s: RunPrepared result differs from Run:\n got %+v\nwant %+v", name, got, want)
+			t.Fatalf("%s: RunPrepared result differs from RunSource:\n got %+v\nwant %+v", name, got, want)
 		}
 	}
 }
 
-// TestRunSourceMatchesRun: streaming a trace through RunSource must be
-// indistinguishable from running the equivalent slice.
+// choppySource hands out events in irregular batches of 1–7, so a streamed
+// replay meets a batch boundary every few events.
+type choppySource struct {
+	events []trace.Event
+	step   int
+}
+
+func (c *choppySource) Next(batch []trace.Event) (int, error) {
+	if len(c.events) == 0 {
+		return 0, io.EOF
+	}
+	c.step = c.step%7 + 1
+	n := copy(batch[:min(c.step, len(batch))], c.events)
+	c.events = c.events[n:]
+	return n, nil
+}
+
+// TestRunSourceMatchesRun: a streamed replay does not depend on how its
+// stream is batched — irregular small batches give exactly the Result of
+// the prepared replay, for every memory organization.
 func TestRunSourceMatchesRun(t *testing.T) {
 	events := syntheticTrace(4000, 8)
+	pt := mustPrepare(t, events)
 	for name, cfg := range preparedConfigs() {
-		want := runCfg(t, cfg, events)
-		got, err := RunTraceSource(cfg, trace.NewSliceSource(events))
+		want := runCfg(t, cfg, pt)
+		sim, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := sim.RunSource(&choppySource{events: events})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s: RunSource result differs from Run:\n got %+v\nwant %+v", name, got, want)
+			t.Fatalf("%s: batched RunSource differs from RunPrepared:\n got %+v\nwant %+v", name, got, want)
 		}
 	}
 }
 
 // TestRunSourceFromText streams straight from NVMain text — the cmd/memsim
-// path — and must match the parse-then-run pipeline.
+// path — and must match the parse-then-prepare pipeline.
 func TestRunSourceFromText(t *testing.T) {
 	events := syntheticTrace(1000, 9)
 	var buf bytes.Buffer
@@ -68,22 +97,23 @@ func TestRunSourceFromText(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := NewDRAMConfig(2, 2000, 400)
-	want := runCfg(t, cfg, events)
-	got, err := RunTraceSource(cfg, trace.NewNVMainSource(&buf))
+	want := runCfg(t, cfg, mustPrepare(t, events))
+	sim, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := sim.RunSource(trace.NewNVMainSource(&buf))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatal("RunSource over NVMain text differs from slice path")
+		t.Fatal("RunSource over NVMain text differs from the prepared path")
 	}
 }
 
 func TestPrepareSourceMatchesPrepare(t *testing.T) {
 	events := syntheticTrace(3000, 10)
-	want, err := Prepare(events)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := mustPrepare(t, events)
 	got, err := PrepareSource(trace.NewSliceSource(events))
 	if err != nil {
 		t.Fatal(err)
@@ -93,33 +123,22 @@ func TestPrepareSourceMatchesPrepare(t *testing.T) {
 			got.Len(), got.Stats(), want.Len(), want.Stats())
 	}
 	cfg := NewDRAMConfig(2, 2000, 400)
-	a, err := RunPreparedTrace(cfg, got)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := RunPreparedTrace(cfg, want)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a, b) {
+	if !reflect.DeepEqual(runCfg(t, cfg, got), runCfg(t, cfg, want)) {
 		t.Fatal("PrepareSource and Prepare replay differently")
 	}
 }
 
+// TestPreparedEventsRoundTrip: preparation keeps every field the simulator
+// consumes. The thread tag is deliberately dropped.
 func TestPreparedEventsRoundTrip(t *testing.T) {
 	events := syntheticTrace(500, 11)
-	pt, err := Prepare(events)
-	if err != nil {
-		t.Fatal(err)
+	pt := mustPrepare(t, events)
+	if pt.Len() != len(events) {
+		t.Fatalf("Len() = %d, want %d", pt.Len(), len(events))
 	}
-	back := pt.Events()
-	if len(back) != len(events) {
-		t.Fatalf("Events() len = %d, want %d", len(back), len(events))
-	}
-	for i := range back {
-		// Thread is not retained; everything else must survive.
-		if back[i].Cycle != events[i].Cycle || back[i].Op != events[i].Op || back[i].Addr != events[i].Addr {
-			t.Fatalf("event %d: %+v vs %+v", i, back[i], events[i])
+	for i, e := range events {
+		if pt.cycles[i] != e.Cycle || pt.addrs[i] != e.Addr || pt.writes[i] != (e.Op == trace.Write) {
+			t.Fatalf("event %d: prepared (%d, %#x, write=%v) vs %+v", i, pt.cycles[i], pt.addrs[i], pt.writes[i], e)
 		}
 	}
 }
@@ -131,24 +150,32 @@ func TestPrepareRejectsBadEvent(t *testing.T) {
 }
 
 func TestRunPreparedEmpty(t *testing.T) {
-	pt, err := Prepare(nil)
+	sim, err := New(NewDRAMConfig(2, 2000, 400))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunPreparedTrace(NewDRAMConfig(2, 2000, 400), pt); err != ErrEmptyTrace {
+	if _, err := sim.RunPrepared(mustPrepare(t, nil)); err != ErrEmptyTrace {
 		t.Fatalf("err = %v, want ErrEmptyTrace", err)
 	}
 }
 
 func TestRunSourceEmpty(t *testing.T) {
-	if _, err := RunTraceSource(NewDRAMConfig(2, 2000, 400), trace.NewSliceSource(nil)); err != ErrEmptyTrace {
+	sim, err := New(NewDRAMConfig(2, 2000, 400))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sim.RunSource(trace.NewSliceSource(nil)); err != ErrEmptyTrace {
 		t.Fatal("expected ErrEmptyTrace")
 	}
 }
 
 func TestRunSourceRejectsBadEvent(t *testing.T) {
+	sim, err := New(NewDRAMConfig(2, 2000, 400))
+	if err != nil {
+		t.Fatal(err)
+	}
 	bad := []trace.Event{{Cycle: 1, Op: 'Q'}}
-	if _, err := RunTraceSource(NewDRAMConfig(2, 2000, 400), trace.NewSliceSource(bad)); err == nil {
+	if _, err := sim.RunSource(trace.NewSliceSource(bad)); err == nil {
 		t.Fatal("expected bad-op error")
 	}
 }
@@ -157,21 +184,19 @@ func TestRunSourceRejectsBadEvent(t *testing.T) {
 // concurrent simulators must give each the same answer (run with -race to
 // also prove there are no writes).
 func TestPreparedImmutableUnderConcurrentReplay(t *testing.T) {
-	events := syntheticTrace(2000, 12)
-	pt, err := Prepare(events)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pt := mustPrepare(t, syntheticTrace(2000, 12))
 	cfg := NewHybridConfig(2, 2000, 400, 36, 0.125)
-	want, err := RunPreparedTrace(cfg, pt)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := runCfg(t, cfg, pt)
 	const goroutines = 8
 	errs := make(chan error, goroutines)
 	for g := 0; g < goroutines; g++ {
 		go func() {
-			got, err := RunPreparedTrace(cfg, pt)
+			sim, err := New(cfg)
+			if err != nil {
+				errs <- err
+				return
+			}
+			got, err := sim.RunPrepared(pt)
 			if err == nil && !reflect.DeepEqual(got, want) {
 				err = errDiverged
 			}

@@ -52,7 +52,11 @@ func TestPropSimulatorInvariants(t *testing.T) {
 		if rng.Intn(2) == 0 {
 			cfg.Scheduler = FCFS
 		}
-		res, err := RunTrace(cfg, events)
+		sim, err := New(cfg)
+		if err != nil {
+			return false
+		}
+		res, err := sim.RunSource(trace.NewSliceSource(events))
 		if err != nil {
 			return false
 		}
@@ -80,10 +84,11 @@ func TestPropSimulatorInvariants(t *testing.T) {
 	}
 }
 
-// Property: Run, RunPrepared on a fresh simulator, and RunPrepared again on
-// the same simulator (pooled engines + cached partition) are the same
-// function — bit-identical Results for random traces and configurations.
-// This is the live generalization of the committed golden fixtures.
+// Property: the one-pass RunSource, RunPrepared on a freshly prepared trace,
+// and RunPrepared again on the same simulator (pooled engines + cached
+// partition) are the same function — bit-identical Results for random
+// traces and configurations. This is the live generalization of the
+// committed golden fixtures.
 func TestPropReplayPathEquivalence(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -122,15 +127,15 @@ func TestPropReplayPathEquivalence(t *testing.T) {
 		if rng.Intn(4) == 0 {
 			cfg.Mapping = MapChannelBlocked
 		}
-		want, err := RunTrace(cfg, events)
+		sim, err := New(cfg)
+		if err != nil {
+			return false
+		}
+		want, err := sim.RunSource(trace.NewSliceSource(events))
 		if err != nil {
 			return false
 		}
 		pt, err := Prepare(events)
-		if err != nil {
-			return false
-		}
-		sim, err := New(cfg)
 		if err != nil {
 			return false
 		}
@@ -164,7 +169,11 @@ func TestPropCacheHybridTrafficBounds(t *testing.T) {
 		}
 		cfg := NewHybridConfig(2, 2000, 666, 67, 0.25)
 		cfg.CacheLines = 256 + rng.Intn(4096)
-		res, err := RunTrace(cfg, events)
+		sim, err := New(cfg)
+		if err != nil {
+			return false
+		}
+		res, err := sim.RunSource(trace.NewSliceSource(events))
 		if err != nil {
 			return false
 		}

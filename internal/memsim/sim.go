@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"math"
 	"sync"
-
-	"graphdse/internal/trace"
 )
 
 // Simulator replays memory traces against one configuration. The engine
@@ -21,7 +19,7 @@ type Simulator struct {
 	front  timingTable // DRAM tier of a hybrid (cache front or flat DRAM half)
 }
 
-// ErrEmptyTrace is returned when Run is given no events.
+// ErrEmptyTrace is returned when a replay is given no events.
 var ErrEmptyTrace = errors.New("memsim: empty trace")
 
 // New validates the configuration and builds a simulator.
@@ -39,28 +37,8 @@ func New(cfg Config) (*Simulator, error) {
 // Config returns the validated configuration.
 func (s *Simulator) Config() Config { return s.cfg }
 
-// Run replays events (CPU-cycle timestamps, ascending) and returns the
-// aggregated metrics. Channels are independent and simulated in parallel.
-// For sweeps replaying the same trace against many configurations, prefer
-// Prepare + RunPrepared, which validates and decodes the trace once and
-// shares partitions across points of equal mapping geometry; for traces too
-// large to hold in memory, use RunSource.
-func (s *Simulator) Run(events []trace.Event) (*Result, error) {
-	if len(events) == 0 {
-		return nil, ErrEmptyTrace
-	}
-	part := newTracePartition(s.cfg.Channels, partitionCapHint(len(events), s.cfg.Channels))
-	for _, e := range events {
-		if err := e.Validate(); err != nil {
-			return nil, err
-		}
-		part.route(s.mapper, e.Cycle, e.Addr, e.Op == trace.Write)
-	}
-	return s.runPartition(part)
-}
-
 // runPartition simulates the partitioned trace and assembles the result —
-// the shared back half of Run, RunPrepared, and RunSource. Each channel
+// the shared back half of RunPrepared and RunSource. Each channel
 // goroutine draws its mutable state from the engine pool and returns it when
 // the channel drains, so steady-state sweeps allocate only the snapshot.
 func (s *Simulator) runPartition(part *tracePartition) (*Result, error) {
@@ -183,16 +161,6 @@ func (s *Simulator) staticWatts() float64 {
 	default:
 		return cfg.Energy.StaticWatts + cfg.Energy.IOWattsPerMHz*cfg.CtrlFreqMHz
 	}
-}
-
-// RunTrace is a convenience helper: build a simulator for cfg and replay
-// events in one call.
-func RunTrace(cfg Config, events []trace.Event) (*Result, error) {
-	sim, err := New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return sim.Run(events)
 }
 
 // FormatMetric renders one metric value the way the paper's tables do.

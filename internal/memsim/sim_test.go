@@ -82,9 +82,24 @@ func scatterTrace(n int, seed int64) []trace.Event {
 	return events
 }
 
-func runCfg(t *testing.T, cfg Config, events []trace.Event) *Result {
+// mustPrepare validates and decodes a test trace once, so every replay in a
+// test shares it the way a sweep does.
+func mustPrepare(t testing.TB, events []trace.Event) *PreparedTrace {
 	t.Helper()
-	res, err := RunTrace(cfg, events)
+	pt, err := Prepare(events)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pt
+}
+
+func runCfg(t *testing.T, cfg Config, pt *PreparedTrace) *Result {
+	t.Helper()
+	sim, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := sim.RunPrepared(pt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,28 +107,42 @@ func runCfg(t *testing.T, cfg Config, events []trace.Event) *Result {
 }
 
 func TestRunEmptyTrace(t *testing.T) {
-	if _, err := RunTrace(NewDRAMConfig(2, 2000, 400), nil); err == nil {
-		t.Fatal("expected empty-trace error")
+	sim, err := New(NewDRAMConfig(2, 2000, 400))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sim.RunPrepared(mustPrepare(t, nil)); err != ErrEmptyTrace {
+		t.Fatalf("RunPrepared: err = %v, want ErrEmptyTrace", err)
+	}
+	if _, err := sim.RunSource(trace.NewSliceSource(nil)); err != ErrEmptyTrace {
+		t.Fatalf("RunSource: err = %v, want ErrEmptyTrace", err)
 	}
 }
 
 func TestRunRejectsBadEvent(t *testing.T) {
 	events := []trace.Event{{Cycle: 1, Op: 'Q', Addr: 0}}
-	if _, err := RunTrace(NewDRAMConfig(2, 2000, 400), events); err == nil {
-		t.Fatal("expected bad-op error")
+	if _, err := Prepare(events); err == nil {
+		t.Fatal("Prepare: expected bad-op error")
+	}
+	sim, err := New(NewDRAMConfig(2, 2000, 400))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sim.RunSource(trace.NewSliceSource(events)); err == nil {
+		t.Fatal("RunSource: expected bad-op error")
 	}
 }
 
 func TestRunRejectsBadConfig(t *testing.T) {
-	if _, err := RunTrace(Config{}, syntheticTrace(10, 1)); err == nil {
+	if _, err := New(Config{}); err == nil {
 		t.Fatal("expected config error")
 	}
 }
 
 func TestRunDeterministic(t *testing.T) {
-	events := syntheticTrace(5000, 1)
-	a := runCfg(t, NewHybridConfig(2, 2000, 666, 33, 0.25), events)
-	b := runCfg(t, NewHybridConfig(2, 2000, 666, 33, 0.25), events)
+	pt := mustPrepare(t, syntheticTrace(5000, 1))
+	a := runCfg(t, NewHybridConfig(2, 2000, 666, 33, 0.25), pt)
+	b := runCfg(t, NewHybridConfig(2, 2000, 666, 33, 0.25), pt)
 	if a.AvgPowerPerChannel != b.AvgPowerPerChannel ||
 		a.AvgTotalLatency != b.AvgTotalLatency ||
 		a.AvgBandwidthPerBank != b.AvgBandwidthPerBank {
@@ -131,8 +160,9 @@ func TestReadWriteCountsConserved(t *testing.T) {
 			wantR++
 		}
 	}
+	pt := mustPrepare(t, events)
 	for _, ch := range []int{2, 4} {
-		res := runCfg(t, NewDRAMConfig(ch, 2000, 400), events)
+		res := runCfg(t, NewDRAMConfig(ch, 2000, 400), pt)
 		gotR := res.AvgReadsPerChannel * float64(ch)
 		gotW := res.AvgWritesPerChannel * float64(ch)
 		if gotR != wantR || gotW != wantW {
@@ -142,13 +172,13 @@ func TestReadWriteCountsConserved(t *testing.T) {
 }
 
 func TestReadsPerChannelHalveWithChannels(t *testing.T) {
-	events := syntheticTrace(8000, 3)
+	pt := mustPrepare(t, syntheticTrace(8000, 3))
 	for _, mk := range []func(ch int) Config{
 		func(ch int) Config { return NewDRAMConfig(ch, 2000, 400) },
 		func(ch int) Config { return NewNVMConfig(ch, 2000, 400, 40) },
 	} {
-		r2 := runCfg(t, mk(2), events)
-		r4 := runCfg(t, mk(4), events)
+		r2 := runCfg(t, mk(2), pt)
+		r4 := runCfg(t, mk(4), pt)
 		ratio := r2.AvgReadsPerChannel / r4.AvgReadsPerChannel
 		if math.Abs(ratio-2) > 0.01 {
 			t.Fatalf("reads/channel ratio = %v, want 2", ratio)
@@ -161,54 +191,54 @@ func TestReadsPerChannelHalveWithChannels(t *testing.T) {
 }
 
 func TestBandwidthShapes(t *testing.T) {
-	events := syntheticTrace(20000, 4)
+	pt := mustPrepare(t, syntheticTrace(20000, 4))
 
 	// Bandwidth per bank grows with CPU frequency (arrival-bound runs
 	// compress in wall time).
-	slow := runCfg(t, NewDRAMConfig(2, 2000, 400), events)
-	fast := runCfg(t, NewDRAMConfig(2, 6500, 400), events)
+	slow := runCfg(t, NewDRAMConfig(2, 2000, 400), pt)
+	fast := runCfg(t, NewDRAMConfig(2, 6500, 400), pt)
 	if fast.AvgBandwidthPerBank <= slow.AvgBandwidthPerBank {
 		t.Fatalf("bandwidth should grow with CPU freq: %v vs %v",
 			fast.AvgBandwidthPerBank, slow.AvgBandwidthPerBank)
 	}
 
 	// Bandwidth per bank roughly halves when channels double.
-	two := runCfg(t, NewDRAMConfig(2, 2000, 400), events)
-	four := runCfg(t, NewDRAMConfig(4, 2000, 400), events)
+	two := runCfg(t, NewDRAMConfig(2, 2000, 400), pt)
+	four := runCfg(t, NewDRAMConfig(4, 2000, 400), pt)
 	ratio := two.AvgBandwidthPerBank / four.AvgBandwidthPerBank
 	if ratio < 1.5 || ratio > 2.5 {
 		t.Fatalf("2ch/4ch bandwidth ratio = %v, want ~2", ratio)
 	}
 
 	// DRAM bandwidth >= NVM bandwidth at matched config (faster service).
-	nvm := runCfg(t, NewNVMConfig(2, 2000, 400, 40), events)
+	nvm := runCfg(t, NewNVMConfig(2, 2000, 400, 40), pt)
 	if two.AvgBandwidthPerBank < nvm.AvgBandwidthPerBank {
 		t.Fatalf("DRAM bandwidth %v < NVM %v", two.AvgBandwidthPerBank, nvm.AvgBandwidthPerBank)
 	}
 }
 
 func TestPowerShapes(t *testing.T) {
-	events := syntheticTrace(20000, 5)
+	pt := mustPrepare(t, syntheticTrace(20000, 5))
 
 	// Paper: DRAM consumes the most power, NVM the least, hybrid between
 	// (§IV-B.1) at low controller frequency.
-	d := runCfg(t, NewDRAMConfig(2, 2000, 400), events)
-	n := runCfg(t, NewNVMConfig(2, 2000, 400, 40), events)
-	h := runCfg(t, NewHybridConfig(2, 2000, 400, 40, 0.25), events)
+	d := runCfg(t, NewDRAMConfig(2, 2000, 400), pt)
+	n := runCfg(t, NewNVMConfig(2, 2000, 400, 40), pt)
+	h := runCfg(t, NewHybridConfig(2, 2000, 400, 40, 0.25), pt)
 	if !(d.AvgPowerPerChannel > h.AvgPowerPerChannel && h.AvgPowerPerChannel > n.AvgPowerPerChannel) {
 		t.Fatalf("power ordering D > H > N violated: D=%v H=%v N=%v",
 			d.AvgPowerPerChannel, h.AvgPowerPerChannel, n.AvgPowerPerChannel)
 	}
 
 	// Paper: NVM power grows with controller frequency (I/O dominated).
-	nHigh := runCfg(t, NewNVMConfig(2, 2000, 1600, 160), events)
+	nHigh := runCfg(t, NewNVMConfig(2, 2000, 1600, 160), pt)
 	if nHigh.AvgPowerPerChannel <= n.AvgPowerPerChannel {
 		t.Fatalf("NVM power should grow with ctrl freq: %v vs %v",
 			nHigh.AvgPowerPerChannel, n.AvgPowerPerChannel)
 	}
 
 	// Paper: DRAM power grows with CPU frequency (same work in less time).
-	dFast := runCfg(t, NewDRAMConfig(2, 6500, 400), events)
+	dFast := runCfg(t, NewDRAMConfig(2, 6500, 400), pt)
 	if dFast.AvgPowerPerChannel <= d.AvgPowerPerChannel {
 		t.Fatalf("DRAM power should grow with CPU freq: %v vs %v",
 			dFast.AvgPowerPerChannel, d.AvgPowerPerChannel)
@@ -216,7 +246,7 @@ func TestPowerShapes(t *testing.T) {
 }
 
 func TestLatencyShapes(t *testing.T) {
-	scatter := scatterTrace(20000, 6)
+	scatter := mustPrepare(t, scatterTrace(20000, 6))
 
 	// DRAM device latency in controller cycles is frequency-insensitive
 	// (timing parameters are fixed in cycles, as in the paper's setup:
@@ -240,7 +270,7 @@ func TestLatencyShapes(t *testing.T) {
 	// Hybrid beats DRAM on device latency (cache hits are fast) — the
 	// paper's recommendation for average latency is hybrid. The effect shows
 	// on working sets larger than the row buffers but within the DRAM cache.
-	reuse := reuseTrace(30000, 12)
+	reuse := mustPrepare(t, reuseTrace(30000, 12))
 	hR := runCfg(t, NewHybridConfig(2, 2000, 400, 20, 0.5), reuse)
 	dR := runCfg(t, NewDRAMConfig(2, 2000, 400), reuse)
 	if hR.AvgLatency >= dR.AvgLatency {
@@ -276,9 +306,9 @@ func TestLatencyShapes(t *testing.T) {
 }
 
 func TestHybridCacheFiltersBackendTraffic(t *testing.T) {
-	events := syntheticTrace(20000, 7)
-	n := runCfg(t, NewNVMConfig(2, 2000, 666, 67), events)
-	h := runCfg(t, NewHybridConfig(2, 2000, 666, 67, 0.5), events)
+	pt := mustPrepare(t, syntheticTrace(20000, 7))
+	n := runCfg(t, NewNVMConfig(2, 2000, 666, 67), pt)
+	h := runCfg(t, NewHybridConfig(2, 2000, 666, 67, 0.5), pt)
 	if h.CacheHitRate <= 0 {
 		t.Fatalf("cache hit rate = %v", h.CacheHitRate)
 	}
@@ -288,7 +318,7 @@ func TestHybridCacheFiltersBackendTraffic(t *testing.T) {
 			n.AvgReadsPerChannel+n.AvgWritesPerChannel)
 	}
 	// Larger DRAM fraction → more filtering.
-	hSmall := runCfg(t, NewHybridConfig(2, 2000, 666, 67, 0.125), events)
+	hSmall := runCfg(t, NewHybridConfig(2, 2000, 666, 67, 0.125), pt)
 	if h.AvgReadsPerChannel >= hSmall.AvgReadsPerChannel {
 		t.Fatalf("bigger cache should filter more reads: %v vs %v",
 			h.AvgReadsPerChannel, hSmall.AvgReadsPerChannel)
@@ -296,13 +326,13 @@ func TestHybridCacheFiltersBackendTraffic(t *testing.T) {
 }
 
 func TestSchedulerFRFCFSImprovesRowHits(t *testing.T) {
-	events := syntheticTrace(20000, 8)
+	pt := mustPrepare(t, syntheticTrace(20000, 8))
 	fcfs := NewDRAMConfig(2, 6500, 400)
 	fcfs.Scheduler = FCFS
 	frf := NewDRAMConfig(2, 6500, 400)
 	frf.Scheduler = FRFCFS
-	a := runCfg(t, fcfs, events)
-	b := runCfg(t, frf, events)
+	a := runCfg(t, fcfs, pt)
+	b := runCfg(t, frf, pt)
 	if b.RowHitRate < a.RowHitRate {
 		t.Fatalf("FR-FCFS row hit rate %v < FCFS %v", b.RowHitRate, a.RowHitRate)
 	}
@@ -315,7 +345,8 @@ func TestEnduranceTracking(t *testing.T) {
 	for i := 0; i < 5000; i++ {
 		events = append(events, trace.Event{Cycle: uint64(i * 10), Op: trace.Write, Addr: 0x40})
 	}
-	res := runCfg(t, NewNVMConfig(2, 2000, 400, 40), events)
+	pt := mustPrepare(t, events)
+	res := runCfg(t, NewNVMConfig(2, 2000, 400, 40), pt)
 	if res.MaxRowWrites == 0 {
 		t.Fatal("expected row-write tracking")
 	}
@@ -327,14 +358,15 @@ func TestEnduranceTracking(t *testing.T) {
 	for i := range reads {
 		reads[i].Op = trace.Read
 	}
-	ro := runCfg(t, NewNVMConfig(2, 2000, 400, 40), reads)
+	readsPT := mustPrepare(t, reads)
+	ro := runCfg(t, NewNVMConfig(2, 2000, 400, 40), readsPT)
 	if !math.IsInf(ro.LifetimeYears, 1) {
 		t.Fatalf("read-only lifetime should be infinite, got %v", ro.LifetimeYears)
 	}
 }
 
 func TestMetricVectorOrder(t *testing.T) {
-	res := runCfg(t, NewDRAMConfig(2, 2000, 400), syntheticTrace(2000, 9))
+	res := runCfg(t, NewDRAMConfig(2, 2000, 400), mustPrepare(t, syntheticTrace(2000, 9)))
 	v := res.MetricVector()
 	if len(v) != len(MetricNames) {
 		t.Fatalf("metric vector length %d", len(v))
@@ -345,7 +377,7 @@ func TestMetricVectorOrder(t *testing.T) {
 }
 
 func TestResultStringContainsEssentials(t *testing.T) {
-	res := runCfg(t, NewHybridConfig(2, 2000, 400, 40, 0.25), syntheticTrace(2000, 10))
+	res := runCfg(t, NewHybridConfig(2, 2000, 400, 40, 0.25), mustPrepare(t, syntheticTrace(2000, 10)))
 	s := res.String()
 	for _, want := range []string{"Hybrid", "power", "bandwidth", "cache hit"} {
 		if !contains(s, want) {
@@ -368,9 +400,9 @@ func indexOf(s, sub string) int {
 }
 
 func TestWallTimeShrinksWithCPUFreq(t *testing.T) {
-	events := syntheticTrace(10000, 11)
-	slow := runCfg(t, NewDRAMConfig(2, 2000, 400), events)
-	fast := runCfg(t, NewDRAMConfig(2, 6500, 400), events)
+	pt := mustPrepare(t, syntheticTrace(10000, 11))
+	slow := runCfg(t, NewDRAMConfig(2, 2000, 400), pt)
+	fast := runCfg(t, NewDRAMConfig(2, 6500, 400), pt)
 	if fast.WallTimeSeconds >= slow.WallTimeSeconds {
 		t.Fatalf("wall time should shrink with CPU freq: %v vs %v",
 			fast.WallTimeSeconds, slow.WallTimeSeconds)
@@ -390,12 +422,12 @@ func TestFormatMetric(t *testing.T) {
 }
 
 func TestClosedPagePolicy(t *testing.T) {
-	events := syntheticTrace(10000, 13)
+	pt := mustPrepare(t, syntheticTrace(10000, 13))
 	open := NewDRAMConfig(2, 2000, 400)
 	closed := NewDRAMConfig(2, 2000, 400)
 	closed.Policy = ClosedPage
-	o := runCfg(t, open, events)
-	c := runCfg(t, closed, events)
+	o := runCfg(t, open, pt)
+	c := runCfg(t, closed, pt)
 	if c.RowHitRate != 0 {
 		t.Fatalf("closed-page row hit rate = %v, want 0", c.RowHitRate)
 	}
@@ -414,11 +446,11 @@ func TestClosedPagePolicy(t *testing.T) {
 }
 
 func TestFlatHybridPreservesOperationCounts(t *testing.T) {
-	events := syntheticTrace(10000, 14)
-	pure := runCfg(t, NewNVMConfig(2, 2000, 400, 40), events)
+	pt := mustPrepare(t, syntheticTrace(10000, 14))
+	pure := runCfg(t, NewNVMConfig(2, 2000, 400, 40), pt)
 	flat := NewHybridConfig(2, 2000, 400, 40, 0.25)
 	flat.HybridMode = HybridFlat
-	h := runCfg(t, flat, events)
+	h := runCfg(t, flat, pt)
 	// Flat partitioning routes every request to exactly one tier: the
 	// per-channel operation counts match the pure configurations.
 	if h.AvgReadsPerChannel != pure.AvgReadsPerChannel ||
@@ -433,12 +465,12 @@ func TestFlatHybridPreservesOperationCounts(t *testing.T) {
 }
 
 func TestFlatHybridLatencyBetweenTiers(t *testing.T) {
-	events := scatterTrace(20000, 15)
-	d := runCfg(t, NewDRAMConfig(2, 2000, 400), events)
-	n := runCfg(t, NewNVMConfig(2, 2000, 400, 80), events)
+	pt := mustPrepare(t, scatterTrace(20000, 15))
+	d := runCfg(t, NewDRAMConfig(2, 2000, 400), pt)
+	n := runCfg(t, NewNVMConfig(2, 2000, 400, 80), pt)
 	flat := NewHybridConfig(2, 2000, 400, 80, 0.5)
 	flat.HybridMode = HybridFlat
-	h := runCfg(t, flat, events)
+	h := runCfg(t, flat, pt)
 	// Device latency mixes the two tiers.
 	lo, hi := d.AvgLatency, n.AvgLatency
 	if lo > hi {
@@ -457,11 +489,11 @@ func TestHybridKindString(t *testing.T) {
 }
 
 func TestFlatHybridFractionShiftsLatency(t *testing.T) {
-	events := scatterTrace(15000, 16)
+	pt := mustPrepare(t, scatterTrace(15000, 16))
 	mk := func(f float64) *Result {
 		c := NewHybridConfig(2, 2000, 400, 80, f)
 		c.HybridMode = HybridFlat
-		return runCfg(t, c, events)
+		return runCfg(t, c, pt)
 	}
 	mostlyDRAM := mk(0.9)
 	mostlyNVM := mk(0.1)

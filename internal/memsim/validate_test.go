@@ -50,7 +50,7 @@ func TestValidateMetrics(t *testing.T) {
 }
 
 // TestRunTraceValidatesMetrics is the regression guard for the silent-
-// garbage path: RunTrace must gate every result through ValidateMetrics, so
+// garbage path: a replay must gate every result through ValidateMetrics, so
 // whatever it returns is finite and non-negative by construction.
 func TestRunTraceValidatesMetrics(t *testing.T) {
 	events := []trace.Event{
@@ -58,11 +58,8 @@ func TestRunTraceValidatesMetrics(t *testing.T) {
 		{Cycle: 10, Addr: 0x40, Op: trace.Write},
 		{Cycle: 20, Addr: 0x80, Op: trace.Read},
 	}
-	res, err := RunTrace(NewDRAMConfig(2, 2000, 400), events)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runCfg(t, NewDRAMConfig(2, 2000, 400), mustPrepare(t, events))
 	if err := res.ValidateMetrics(); err != nil {
-		t.Fatalf("RunTrace returned invalid metrics: %v", err)
+		t.Fatalf("replay returned invalid metrics: %v", err)
 	}
 }

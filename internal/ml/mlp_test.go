@@ -96,60 +96,6 @@ func TestMLPValidation(t *testing.T) {
 	}
 }
 
-func TestSelfTrainingUsesPool(t *testing.T) {
-	X, y := syntheticFriedman(400, 26)
-	// 40 labeled, 200 pool, 160 test.
-	lx, ly := X[:40], y[:40]
-	pool := X[40:240]
-	teX, teY := X[240:], y[240:]
-
-	st := &SelfTraining{Seed: 1}
-	if err := st.FitSemi(lx, ly, pool); err != nil {
-		t.Fatal(err)
-	}
-	if st.PseudoLabeled == 0 {
-		t.Fatal("no pseudo-labels assigned")
-	}
-	semi := MSE(teY, PredictBatch(st, teX))
-
-	base := &RandomForest{NumTrees: 100, Seed: 2}
-	if err := base.Fit(lx, ly); err != nil {
-		t.Fatal(err)
-	}
-	sup := MSE(teY, PredictBatch(base, teX))
-	// Self-training should not be catastrophically worse than the
-	// supervised baseline on the same labels (and is usually comparable or
-	// better on smooth responses).
-	if semi > 2*sup {
-		t.Fatalf("self-training MSE %v vs supervised %v", semi, sup)
-	}
-}
-
-func TestSelfTrainingWithoutPool(t *testing.T) {
-	X, y := syntheticLinear(60, 2, 27, 0)
-	st := &SelfTraining{Seed: 3}
-	if err := st.Fit(X, y); err != nil {
-		t.Fatal(err)
-	}
-	if st.PseudoLabeled != 0 {
-		t.Fatalf("pseudo-labeled %d with empty pool", st.PseudoLabeled)
-	}
-	if r2 := R2(y, PredictBatch(st, X)); r2 < 0.9 {
-		t.Fatalf("R2 = %v", r2)
-	}
-	if st.Name() != "SelfTrain" {
-		t.Fatal("name wrong")
-	}
-	mustPanicML(t, func() { (&SelfTraining{}).Predict([]float64{1}) })
-}
-
-func TestSelfTrainingValidation(t *testing.T) {
-	st := &SelfTraining{}
-	if err := st.FitSemi(nil, nil, nil); err == nil {
-		t.Fatal("expected error for empty labels")
-	}
-}
-
 func TestPermutationImportanceFindsSignal(t *testing.T) {
 	// y depends only on feature 0; features 1 and 2 are noise.
 	X, y := syntheticLinear(200, 1, 28, 0)

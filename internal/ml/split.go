@@ -36,33 +36,6 @@ func TrainTestSplit(X [][]float64, y []float64, testFrac float64, seed int64) (t
 	return trainX, trainY, testX, testY, nil
 }
 
-// KFold yields k (train, test) index partitions over n samples, shuffled by
-// seed. Fold sizes differ by at most one.
-func KFold(n, k int, seed int64) ([][]int, [][]int, error) {
-	if k < 2 || k > n {
-		return nil, nil, fmt.Errorf("%w: k=%d for n=%d", ErrBadInput, k, n)
-	}
-	perm := rand.New(rand.NewSource(seed)).Perm(n)
-	trainSets := make([][]int, k)
-	testSets := make([][]int, k)
-	base, rem := n/k, n%k
-	start := 0
-	for f := 0; f < k; f++ {
-		size := base
-		if f < rem {
-			size++
-		}
-		test := append([]int(nil), perm[start:start+size]...)
-		train := make([]int, 0, n-size)
-		train = append(train, perm[:start]...)
-		train = append(train, perm[start+size:]...)
-		trainSets[f] = train
-		testSets[f] = test
-		start += size
-	}
-	return trainSets, testSets, nil
-}
-
 // Gather selects the rows of X and elements of y at the given indices.
 func Gather(X [][]float64, y []float64, idx []int) ([][]float64, []float64) {
 	gx := make([][]float64, len(idx))
@@ -72,29 +45,6 @@ func Gather(X [][]float64, y []float64, idx []int) ([][]float64, []float64) {
 		gy[k] = y[i]
 	}
 	return gx, gy
-}
-
-// CrossValidate fits a fresh model from factory on each of k folds and
-// returns the per-fold test evaluations.
-func CrossValidate(factory func() Regressor, X [][]float64, y []float64, k int, seed int64) ([]Evaluation, error) {
-	if _, err := checkXY(X, y); err != nil {
-		return nil, err
-	}
-	trains, tests, err := KFold(len(X), k, seed)
-	if err != nil {
-		return nil, err
-	}
-	evals := make([]Evaluation, k)
-	for f := 0; f < k; f++ {
-		trX, trY := Gather(X, y, trains[f])
-		teX, teY := Gather(X, y, tests[f])
-		m := factory()
-		if err := m.Fit(trX, trY); err != nil {
-			return nil, fmt.Errorf("fold %d: %w", f, err)
-		}
-		evals[f] = Evaluate(teY, PredictBatch(m, teX))
-	}
-	return evals, nil
 }
 
 // MeanEvaluation averages a slice of evaluations.
